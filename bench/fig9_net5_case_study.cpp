@@ -91,8 +91,7 @@ int main() {
 
   // Section 5.1: "how many routers need to fail before instance 1 is
   // partitioned from instance 2?" — redundancy of the redistribution points.
-  const auto redundancy =
-      analysis::redistribution_redundancy(network, ig);
+  const auto redundancy = analysis::redistribution_redundancy(ig);
   std::size_t best_redundancy = 0;
   for (const auto& entry : redundancy) {
     best_redundancy =

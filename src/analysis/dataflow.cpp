@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "analysis/propagation.h"
 #include "analysis/vulnerability.h"
 #include "obs/obs.h"
 
@@ -89,65 +90,6 @@ struct FactHash {
   }
 };
 
-/// Session-direction policy chain (distribute-list, prefix-list, route-map),
-/// mirroring the reachability engine's session_permits. The route-map goes
-/// through the compiler so sessions sharing a policy share a verdict memo.
-bool session_permits(model::PolicyCompiler& compiler,
-                     const config::RouterConfig* config,
-                     const config::BgpNeighbor* neighbor, bool inbound,
-                     const Route& route) {
-  if (config == nullptr || neighbor == nullptr) return true;
-  const auto& dl =
-      inbound ? neighbor->distribute_list_in : neighbor->distribute_list_out;
-  if (dl && !model::distribute_list_permits(*config, *dl, route)) return false;
-  const auto& pl_name =
-      inbound ? neighbor->prefix_list_in : neighbor->prefix_list_out;
-  if (pl_name) {
-    const auto* pl = config->find_prefix_list(*pl_name);
-    if (pl != nullptr && !model::prefix_list_permits_route(*pl, route)) {
-      return false;
-    }
-  }
-  const auto& rm_name =
-      inbound ? neighbor->route_map_in : neighbor->route_map_out;
-  if (rm_name) {
-    const auto* rm = compiler.route_map(*config, *rm_name);
-    if (rm != nullptr && !rm->evaluate(route).permitted) return false;
-  }
-  return true;
-}
-
-/// Outbound stanza distribute-lists filter what a process exports — applied
-/// to redistribution exactly as the reachability engine applies them.
-bool stanza_out_permits(const config::RouterConfig& config,
-                        const config::RouterStanza& stanza,
-                        const Route& route) {
-  for (const auto& dl : stanza.distribute_lists) {
-    if (dl.inbound) continue;
-    if (!model::distribute_list_permits(config, dl.acl, route)) return false;
-  }
-  return true;
-}
-
-/// 1-based source line of the redistribute command behind a model edge.
-std::size_t redistribute_line(const model::Network& network,
-                              const model::RedistributionEdge& edge) {
-  const auto& process = network.processes()[edge.target_process];
-  const auto& stanza =
-      network.routers()[edge.router].router_stanzas[process.stanza_index];
-  return stanza.redistributes[edge.redistribute_index].line;
-}
-
-/// Per-edge resolved evaluation context (kept off the public edge struct).
-struct EdgeAux {
-  const config::RouterConfig* config = nullptr;        // entry-side router
-  const config::RouterStanza* target_stanza = nullptr; // kRedistribution
-  const model::CompiledRouteMap* map = nullptr;        // null: pass-through
-  const config::BgpNeighbor* receiver_in = nullptr;    // kSession
-  const config::RouterConfig* sender_config = nullptr; // kSession
-  const config::BgpNeighbor* sender_out = nullptr;     // kSession
-};
-
 Finding make_finding(model::RouterId router, std::string subject,
                      std::string detail, std::size_t line,
                      model::RouterId router_b = model::kInvalidId) {
@@ -171,81 +113,60 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
                                    const graph::InstanceGraph& graph) {
   const auto& set = graph.set;
   const std::size_t n = set.instances.size();
+  // Seeds and edges are the reachability engine's own, resolved by
+  // discover(); the dataflow never reads the external universe.
+  const prop::Problem problem = prop::discover(network, set, {}, {});
   model::PolicyCompiler compiler;
-  std::vector<EdgeAux> aux;
 
-  // --- Edges: cross-instance redistribution commands, in model order.
-  const auto& redists = network.redistribution_edges();
-  for (std::size_t m = 0; m < redists.size(); ++m) {
-    const auto& redist = redists[m];
-    if (redist.source_kind != model::RibKind::kProcess) continue;
-    const std::uint32_t from = set.instance_of[redist.source_process];
-    const std::uint32_t to = set.instance_of[redist.target_process];
-    if (from == to) continue;
-    const auto& config = network.routers()[redist.router];
-    const auto& target = network.processes()[redist.target_process];
-    DataflowEdge edge;
-    edge.kind = DataflowEdge::Kind::kRedistribution;
-    edge.from = from;
-    edge.to = to;
-    edge.router = redist.router;
-    edge.exit_router = redist.router;
-    edge.model_index = m;
-    edge.line = redistribute_line(network, redist);
-    edge.route_map = redist.route_map;
-    EdgeAux a;
-    a.config = &config;
-    a.target_stanza = &config.router_stanzas[target.stanza_index];
-    if (redist.route_map) a.map = compiler.route_map(config, *redist.route_map);
-    edges_.push_back(std::move(edge));
-    aux.push_back(a);
-  }
-
-  // --- Edges: internal EBGP sessions (one per direction: remote -> local).
-  const auto& sessions = network.bgp_sessions();
-  for (std::size_t s = 0; s < sessions.size(); ++s) {
-    const auto& session = sessions[s];
-    if (session.external() || !session.ebgp()) continue;
-    const auto& local = network.processes()[session.local_process];
-    const auto& remote = network.processes()[session.remote_process];
-    const auto& local_config = network.routers()[local.router];
-    const auto& local_stanza = local_config.router_stanzas[local.stanza_index];
-    DataflowEdge edge;
-    edge.kind = DataflowEdge::Kind::kSession;
-    edge.from = set.instance_of[session.remote_process];
-    edge.to = set.instance_of[session.local_process];
-    edge.router = local.router;
-    edge.exit_router = remote.router;
-    edge.model_index = s;
-    edge.line = local_stanza.neighbors[session.neighbor_index].line;
-    EdgeAux a;
-    a.config = &local_config;
-    a.receiver_in = &local_stanza.neighbors[session.neighbor_index];
-    // The sender's outbound policy toward us, when the mirror session is
-    // configured: any interface address of the local router identifies us.
-    const auto& remote_config = network.routers()[remote.router];
-    const auto& remote_stanza =
-        remote_config.router_stanzas[remote.stanza_index];
-    for (const auto& nbr : remote_stanza.neighbors) {
-      bool ours = false;
-      for (const model::InterfaceId i :
-           network.router_interfaces(local.router)) {
-        if (network.interfaces()[i].address == nbr.address) {
-          ours = true;
-          break;
-        }
-      }
-      if (ours) {
-        a.sender_config = &remote_config;
-        a.sender_out = &nbr;
-        break;
-      }
+  // --- Edges: cross-instance redistribution commands, then internal EBGP
+  // sessions (one per direction: remote -> local), each with its policy
+  // chain compiled once. A redistribution applies its route-map (null:
+  // pass-through, as IOS treats an unresolved name) then the target
+  // stanza's outbound distribute-lists; a session the sender's outbound
+  // policy then the receiver's inbound one.
+  struct Chain {
+    const model::CompiledRouteMap* map = nullptr;
+    prop::CompiledStanzaDir stanza_out;
+    prop::CompiledSessionDir sender_out;
+    prop::CompiledSessionDir receiver_in;
+  };
+  std::vector<Chain> chains;
+  for (const auto& redist : problem.redist_edges) {
+    edges_.push_back({.kind = DataflowEdge::Kind::kRedistribution,
+                      .from = redist.from_instance,
+                      .to = redist.to_instance,
+                      .router = redist.router,
+                      .exit_router = redist.router,
+                      .line = redist.line,
+                      .route_map = *redist.route_map});
+    Chain chain;
+    if (*redist.route_map) {
+      chain.map = compiler.route_map(*redist.config, **redist.route_map);
     }
-    edges_.push_back(std::move(edge));
-    aux.push_back(a);
+    chain.stanza_out = prop::compile_stanza_dir(compiler, *redist.config,
+                                                *redist.stanza, false);
+    chains.push_back(std::move(chain));
+  }
+  for (const auto& flow : problem.flows) {
+    edges_.push_back({.kind = DataflowEdge::Kind::kSession,
+                      .from = flow.from_instance,
+                      .to = flow.to_instance,
+                      .router = flow.to_router,
+                      .exit_router = flow.from_router,
+                      .line = flow.receiver_in.neighbor->line,
+                      .route_map = std::nullopt});
+    Chain chain;
+    chain.sender_out = prop::compile_session_dir(compiler, flow.sender_out,
+                                                 false);
+    chain.receiver_in = prop::compile_session_dir(compiler, flow.receiver_in,
+                                                  true);
+    chains.push_back(std::move(chain));
   }
 
-  // --- Seeds, mirroring the reachability engine's discovery.
+  // --- Seeds: origination and local-RIB redistribution, then BGP
+  // aggregates as unconditional origination (the abstract domain does not
+  // track the contained-more-specific trigger the concrete engine models —
+  // over-approximating keeps the rules sound for loop detection).
   std::vector<std::vector<RouteFact>> logs(n);
   std::vector<std::unordered_set<RouteFact, FactHash>> present(n);
   auto add_fact = [&](std::uint32_t inst, const RouteFact& fact) {
@@ -254,75 +175,12 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
     ++total_facts_;
     return true;
   };
-  // Origination: IGP covered subnets / BGP network statements.
-  for (model::ProcessId p = 0; p < network.processes().size(); ++p) {
-    const auto& process = network.processes()[p];
-    const std::uint32_t inst = set.instance_of[p];
-    const auto& config = network.routers()[process.router];
-    const auto& stanza = config.router_stanzas[process.stanza_index];
-    if (config::is_conventional_igp(process.protocol)) {
-      for (const model::InterfaceId i : process.covered_interfaces) {
-        if (network.interfaces()[i].subnet) {
-          add_fact(inst, {inst, model::kInvalidId,
-                          {*network.interfaces()[i].subnet, std::nullopt}});
-        }
-      }
-    } else {
-      for (const auto& ns : stanza.networks) {
-        add_fact(inst, {inst, model::kInvalidId, {ns.prefix(), std::nullopt}});
-      }
-    }
+  for (const auto& seed : problem.seeds) {
+    add_fact(seed.instance, {seed.instance, model::kInvalidId, seed.route});
   }
-  // Local-RIB redistribution (connected / static) through its route-map.
-  for (const auto& redist : redists) {
-    if (redist.source_kind != model::RibKind::kLocal) continue;
-    const std::uint32_t inst = set.instance_of[redist.target_process];
-    const auto& target = network.processes()[redist.target_process];
-    const auto& config = network.routers()[redist.router];
-    const auto& command = config.router_stanzas[target.stanza_index]
-                              .redistributes[redist.redistribute_index];
-    std::vector<Route> local_routes;
-    if (command.source == config::RedistributeSource::kConnected ||
-        command.source == config::RedistributeSource::kProtocol) {
-      for (const model::InterfaceId i :
-           network.router_interfaces(redist.router)) {
-        if (network.interfaces()[i].subnet) {
-          local_routes.push_back({*network.interfaces()[i].subnet, {}});
-        }
-      }
-    }
-    if (command.source == config::RedistributeSource::kStatic) {
-      for (const auto& sr : config.static_routes) {
-        local_routes.push_back({sr.prefix(), {}});
-      }
-    }
-    for (const Route& route : local_routes) {
-      if (command.route_map) {
-        const auto* rm = compiler.route_map(config, *command.route_map);
-        if (rm != nullptr) {
-          const auto& verdict = rm->evaluate(route);
-          if (verdict.permitted) {
-            add_fact(inst, {inst, model::kInvalidId, verdict.route});
-          }
-          continue;
-        }
-      }
-      add_fact(inst, {inst, model::kInvalidId, route});
-    }
-  }
-  // BGP aggregates, as unconditional origination (the abstract domain does
-  // not track the contained-more-specific trigger the concrete engine
-  // models — over-approximating keeps the rules sound for loop detection).
-  for (model::ProcessId p = 0; p < network.processes().size(); ++p) {
-    const auto& process = network.processes()[p];
-    if (process.protocol != config::RoutingProtocol::kBgp) continue;
-    const auto& stanza = network.routers()[process.router]
-                             .router_stanzas[process.stanza_index];
-    for (const auto& aggregate : stanza.aggregates) {
-      add_fact(set.instance_of[p],
-               {set.instance_of[p], model::kInvalidId,
-                {aggregate.prefix(), std::nullopt}});
-    }
+  for (const auto& point : problem.aggregate_points) {
+    add_fact(point.instance, {point.instance, model::kInvalidId,
+                              {point.prefix, std::nullopt}});
   }
 
   // --- Semi-naïve fixpoint: per-edge cursors into the source instance's
@@ -342,7 +200,7 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
     changed = false;
     for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
       const DataflowEdge& edge = edges_[ei];
-      const EdgeAux& a = aux[ei];
+      const Chain& chain = chains[ei];
       // Edges never target their own source, so the source log is stable
       // while this edge drains it.
       const std::size_t end = logs[edge.from].size();
@@ -351,12 +209,8 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
         if (edge.kind == DataflowEdge::Kind::kSession) {
           // AS-path loop prevention: BGP never re-learns its own routes.
           if (fact.origin == edge.to) continue;
-          if (!session_permits(compiler, a.sender_config, a.sender_out,
-                               /*inbound=*/false, fact.route)) {
-            continue;
-          }
-          if (!session_permits(compiler, a.config, a.receiver_in,
-                               /*inbound=*/true, fact.route)) {
+          if (!chain.sender_out.permits(fact.route) ||
+              !chain.receiver_in.permits(fact.route)) {
             continue;
           }
           RouteFact next = fact;
@@ -366,15 +220,13 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
           if (add_fact(edge.to, next)) changed = true;
           continue;
         }
-        // Redistribution: route-map (unresolved names pass through, as in
-        // IOS), then the target stanza's outbound distribute-lists.
         Route route = fact.route;
-        if (a.map != nullptr) {
-          const auto& verdict = a.map->evaluate(route);
+        if (chain.map != nullptr) {
+          const auto& verdict = chain.map->evaluate(route);
           if (!verdict.permitted) continue;
           route = verdict.route;
         }
-        if (!stanza_out_permits(*a.config, *a.target_stanza, route)) continue;
+        if (!chain.stanza_out.permits(route)) continue;
         if (fact.origin == edge.to) {
           // The instance's own route coming home. A same-router bounce is
           // broken by that router's RIB (it prefers what it already has);
@@ -419,7 +271,7 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
 std::vector<Finding> RedistributionSafety::redistribution_loop(
     const RuleContext& ctx) {
   std::vector<Finding> out;
-  InstanceDataflow flow(ctx.network, ctx.graph);
+  const auto& flow = ctx.dataflow();
   const auto& set = ctx.graph.set;
   for (const LoopEvent& event : flow.loop_events()) {
     const DataflowEdge& edge = flow.edges()[event.edge];
@@ -498,7 +350,7 @@ std::vector<Finding> RedistributionSafety::metric_loss(const RuleContext& ctx) {
 std::vector<Finding> RedistributionSafety::distance_inversion(
     const RuleContext& ctx) {
   std::vector<Finding> out;
-  InstanceDataflow flow(ctx.network, ctx.graph);
+  const auto& flow = ctx.dataflow();
   const auto& set = ctx.graph.set;
   for (const EntryRecord& entry : flow.entries()) {
     const auto origin_proto = set.instances[entry.origin].protocol;
@@ -557,33 +409,24 @@ std::vector<Finding> RedistributionSafety::unfiltered_mutual(
     std::string why;
   };
   std::map<std::pair<std::uint32_t, std::uint32_t>, Direction> directions;
-  for (const auto& redist : network.redistribution_edges()) {
-    if (redist.source_kind != model::RibKind::kProcess) continue;
-    const std::uint32_t from = set.instance_of[redist.source_process];
-    const std::uint32_t to = set.instance_of[redist.target_process];
-    if (from == to) continue;
-    auto& dir = directions[{from, to}];
+  for (const auto& edge : ctx.dataflow().edges()) {
+    if (edge.kind != DataflowEdge::Kind::kRedistribution) continue;
+    auto& dir = directions[{edge.from, edge.to}];
     if (dir.open) continue;
-    const auto& config = network.routers()[redist.router];
     std::string why;
-    if (!redist.route_map) {
+    if (!edge.route_map) {
       why = "no route-map";
     } else {
-      const auto facts = model::route_map_facts(config, *redist.route_map);
+      const auto facts = model::route_map_facts(
+          network.routers()[edge.router], *edge.route_map);
       if (!facts.resolved) {
-        why = "route-map " + *redist.route_map + " is not defined";
+        why = "route-map " + *edge.route_map + " is not defined";
       } else if (!facts.may_deny) {
-        why = "route-map " + *redist.route_map + " permits every route";
+        why = "route-map " + *edge.route_map + " permits every route";
       }
     }
     if (why.empty()) continue;
-    dir.open = true;
-    dir.router = redist.router;
-    const auto& target = network.processes()[redist.target_process];
-    dir.line = config.router_stanzas[target.stanza_index]
-                   .redistributes[redist.redistribute_index]
-                   .line;
-    dir.why = std::move(why);
+    dir = {true, edge.router, edge.line, std::move(why)};
   }
   std::vector<Finding> out;
   for (const auto& [key, dir] : directions) {
@@ -619,7 +462,7 @@ std::vector<Finding> RedistributionSafety::single_point(const RuleContext& ctx) 
   std::vector<Finding> out;
   const auto& set = ctx.graph.set;
   const auto& network = ctx.network;
-  for (const auto& pair : redistribution_redundancy(network, ctx.graph)) {
+  for (const auto& pair : redistribution_redundancy(ctx.graph)) {
     if (!pair.single_point_of_failure()) continue;
     // Pairs where either side is a single-router instance are the business
     // of RD031 (structural single point of failure); this rule targets the
@@ -684,19 +527,14 @@ std::vector<Finding> RedistributionSafety::single_point(const RuleContext& ctx) 
     if (connected) continue;
     // Anchor at the first redistribute command joining the pair on `point`.
     std::size_t line = 0;
-    for (const auto& redist : network.redistribution_edges()) {
-      if (redist.source_kind != model::RibKind::kProcess) continue;
-      if (redist.router != point) continue;
-      const std::uint32_t from = set.instance_of[redist.source_process];
-      const std::uint32_t to = set.instance_of[redist.target_process];
-      const std::pair<std::uint32_t, std::uint32_t> key =
-          std::minmax(from, to);
-      if (key != std::pair<std::uint32_t, std::uint32_t>(
-                     std::minmax(pair.instance_a, pair.instance_b))) {
-        continue;
+    for (const auto& edge : ctx.dataflow().edges()) {
+      if (edge.kind == DataflowEdge::Kind::kRedistribution &&
+          edge.router == point &&
+          std::minmax(edge.from, edge.to) ==
+              std::minmax(pair.instance_a, pair.instance_b)) {
+        line = edge.line;
+        break;
       }
-      line = redistribute_line(network, redist);
-      break;
     }
     std::string subject = instance_label(set, pair.instance_a);
     subject += " <-> ";

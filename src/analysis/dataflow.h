@@ -88,9 +88,6 @@ struct DataflowEdge {
   /// the sending endpoint for sessions. Facts with no exit stamp yet get
   /// this one when they cross.
   model::RouterId exit_router = model::kInvalidId;
-  /// Index into network.redistribution_edges() (kRedistribution) or
-  /// network.bgp_sessions() (kSession).
-  std::size_t model_index = 0;
   /// 1-based source line of the redistribute command / neighbor statement.
   std::size_t line = 0;
   /// Route-map name annotating a redistribution edge, when present.
@@ -118,12 +115,14 @@ struct EntryRecord {
   std::size_t edge = 0;  // index into edges()
 };
 
-/// The fixpoint engine. Construction discovers edges and seeds (mirroring
-/// the reachability engine's discovery: IGP covered subnets, BGP network
-/// statements, connected/static redistribution through its route-map, BGP
-/// aggregates) and iterates to a fixpoint. All results are deterministic
-/// functions of the network — edges fire in index order, facts in log
-/// order — so rule output is byte-identical across thread counts.
+/// The fixpoint engine. Construction takes its edges and seeds from the
+/// reachability engine's propagation Problem (`prop::discover`: IGP covered
+/// subnets, BGP network statements, connected/static redistribution through
+/// its route-map, plus BGP aggregates as plain seeds) and iterates to a
+/// fixpoint. Edges are the Problem's redistribution edges, then its
+/// internal EBGP flows. All results are deterministic functions of the
+/// network — edges fire in index order, facts in log order — so rule output
+/// is byte-identical across thread counts.
 class InstanceDataflow {
  public:
   InstanceDataflow(const model::Network& network,
@@ -162,8 +161,8 @@ class InstanceDataflow {
 /// The five statically-checked redistribution-safety rules built on the
 /// dataflow engine (registered as RD060-RD064, category "dataflow"). Each
 /// body is pure and may run concurrently with any other rule; the two
-/// fixpoint-based rules build their own InstanceDataflow because compiled
-/// policies are not shareable across threads.
+/// fixpoint-based rules (RD060, RD062) read the run's one dataflow from
+/// `RuleContext::dataflow()`.
 struct RedistributionSafety {
   /// RD060: an instance's routes can transit a filter-permitting
   /// multi-router cycle and re-enter their origin with a winning distance.

@@ -94,6 +94,7 @@ struct RedistEdge {
   const config::RouterStanza* stanza = nullptr;  // target stanza
   const std::optional<std::string>* route_map = nullptr;
   model::RouterId router = model::kInvalidId;  // the redistributing router
+  std::size_t line = 0;  // 1-based line of the redistribute command
 };
 
 /// Both engines evaluate the same propagation rules; the Problem struct is

@@ -119,7 +119,7 @@ std::vector<Finding> rule_unfiltered_ebgp(const RuleContext& ctx) {
 
 std::vector<Finding> rule_redistribution_spof(const RuleContext& ctx) {
   std::vector<Finding> out;
-  for (const auto& pr : redistribution_redundancy(ctx.network, ctx.graph)) {
+  for (const auto& pr : redistribution_redundancy(ctx.graph)) {
     if (!pr.single_point_of_failure()) continue;
     const auto a = instance_label(ctx.graph.set, pr.instance_a);
     const auto b = instance_label(ctx.graph.set, pr.instance_b);
@@ -134,7 +134,7 @@ std::vector<Finding> rule_redistribution_spof(const RuleContext& ctx) {
 
 std::vector<Finding> rule_backdoor_candidate(const RuleContext& ctx) {
   std::vector<Finding> out;
-  const auto bd = detect_backdoor_candidates(ctx.network, ctx.graph);
+  const auto bd = detect_backdoor_candidates(ctx.graph);
   if (bd.groups > 1) {
     std::string reps;
     for (const auto i : bd.group_representatives) {
@@ -215,46 +215,23 @@ std::vector<Finding> rule_duplicate_router_id(const RuleContext& ctx) {
   return out;
 }
 
-/// Directed instance-pair view of process-to-process redistribution,
-/// shared by RD041 and RD042.
+/// Directed instance-pair view of the dataflow's cross-instance
+/// redistribution edges, shared by RD041 and RD042.
 struct RedistDirection {
-  const model::RedistributionEdge* first = nullptr;   // in edge order
-  const model::RedistributionEdge* first_mapped = nullptr;  // with route-map
-  const model::RedistributionEdge* first_bare = nullptr;    // without
+  const DataflowEdge* first = nullptr;         // in edge order
+  const DataflowEdge* first_mapped = nullptr;  // with route-map
 };
 
 std::map<std::pair<std::uint32_t, std::uint32_t>, RedistDirection>
 redistribution_directions(const RuleContext& ctx) {
-  const auto& instance_of = ctx.graph.set.instance_of;
   std::map<std::pair<std::uint32_t, std::uint32_t>, RedistDirection> directed;
-  for (const auto& edge : ctx.network.redistribution_edges()) {
-    if (edge.source_kind != model::RibKind::kProcess) continue;
-    if (edge.source_process == model::kInvalidId ||
-        edge.target_process == model::kInvalidId) {
-      continue;
-    }
-    const auto a = instance_of[edge.source_process];
-    const auto b = instance_of[edge.target_process];
-    if (a == b) continue;
-    auto& dir = directed[{a, b}];
+  for (const auto& edge : ctx.dataflow().edges()) {
+    if (edge.kind != DataflowEdge::Kind::kRedistribution) continue;
+    auto& dir = directed[{edge.from, edge.to}];
     if (dir.first == nullptr) dir.first = &edge;
-    if (edge.route_map) {
-      if (dir.first_mapped == nullptr) dir.first_mapped = &edge;
-    } else if (dir.first_bare == nullptr) {
-      dir.first_bare = &edge;
-    }
+    if (edge.route_map && dir.first_mapped == nullptr) dir.first_mapped = &edge;
   }
   return directed;
-}
-
-/// Source line of a redistribution edge's "redistribute" command.
-std::size_t redistribute_line(const model::Network& network,
-                              const model::RedistributionEdge& edge) {
-  const auto& process = network.processes()[edge.target_process];
-  return network.routers()[edge.router]
-      .router_stanzas[process.stanza_index]
-      .redistributes[edge.redistribute_index]
-      .line;
 }
 
 std::vector<Finding> rule_one_sided_redistribution(const RuleContext& ctx) {
@@ -270,7 +247,7 @@ std::vector<Finding> rule_one_sided_redistribution(const RuleContext& ctx) {
         "routes are redistributed from " + a + " into " + b +
             " with no redistribution in the reverse direction; hosts in " +
             b + " stay invisible to " + a,
-        redistribute_line(ctx.network, edge)));
+        edge.line));
   }
   return out;
 }
@@ -301,7 +278,7 @@ std::vector<Finding> rule_asymmetric_redistribution_policy(
             " is filtered by route-map " +
             *mapped.first_mapped->route_map +
             " but the reverse direction carries no route-map",
-        redistribute_line(ctx.network, edge)));
+        edge.line));
   }
   return out;
 }
@@ -619,10 +596,9 @@ std::vector<Finding> rule_dead_route_map_clause(const RuleContext& ctx) {
 std::vector<Finding> rule_intent_violation(const RuleContext& ctx) {
   const auto intents = collect_intents(ctx.network);
   if (intents.empty()) return {};  // the common case costs nothing
-  const auto routes = ReachabilityAnalysis::run(ctx.network, ctx.graph.set);
   std::vector<Finding> out;
-  for (const auto& outcome :
-       verify_intents(ctx.network, ctx.graph.set, routes, intents)) {
+  for (const auto& outcome : verify_intents(ctx.network, ctx.graph.set,
+                                            ctx.reachability(), intents)) {
     if (outcome.holds) continue;
     std::string detail;
     if (outcome.intent.expect_reachable) {
@@ -845,33 +821,53 @@ const RuleInfo* RuleEngine::find(std::string_view id) const noexcept {
   return nullptr;
 }
 
+RuleContext::RuleContext(const model::Network& network,
+                         const graph::InstanceGraph& graph,
+                         const RuleOptions& options)
+    : network(network), graph(graph), options(options) {}
+
+RuleContext::~RuleContext() = default;
+
+const ReachabilityAnalysis& RuleContext::reachability() const {
+  std::call_once(reachability_once_, [this] {
+    reachability_ = std::make_unique<ReachabilityAnalysis>(
+        ReachabilityAnalysis::run(network, graph.set));
+  });
+  return *reachability_;
+}
+
+const InstanceDataflow& RuleContext::dataflow() const {
+  std::call_once(dataflow_once_, [this] {
+    dataflow_ = std::make_unique<InstanceDataflow>(network, graph);
+  });
+  return *dataflow_;
+}
+
 RuleEngine::Result RuleEngine::run(const model::Network& network) const {
   const auto graph = graph::InstanceGraph::build(network);
-  return collect(network, graph, nullptr);
+  return collect(RuleContext(network, graph, options_), nullptr);
 }
 
 RuleEngine::Result RuleEngine::run(const model::Network& network,
                                    const graph::InstanceGraph& graph) const {
-  return collect(network, graph, nullptr);
+  return collect(RuleContext(network, graph, options_), nullptr);
 }
 
 RuleEngine::Result RuleEngine::run(const model::Network& network,
                                    util::ThreadPool& pool) const {
   const auto graph = graph::InstanceGraph::build(network);
-  return collect(network, graph, &pool);
+  return collect(RuleContext(network, graph, options_), &pool);
 }
 
 RuleEngine::Result RuleEngine::run(const model::Network& network,
                                    const graph::InstanceGraph& graph,
                                    util::ThreadPool& pool) const {
-  return collect(network, graph, &pool);
+  return collect(RuleContext(network, graph, options_), &pool);
 }
 
-RuleEngine::Result RuleEngine::collect(const model::Network& network,
-                                       const graph::InstanceGraph& graph,
+RuleEngine::Result RuleEngine::collect(const RuleContext& ctx,
                                        util::ThreadPool* pool) const {
-  const RuleContext ctx{network, graph, options_};
-
+  const auto& network = ctx.network;
   struct PerRule {
     std::vector<Finding> findings;
     double millis = 0.0;

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -84,10 +86,37 @@ struct RuleOptions {
   LintOptions lint;
 };
 
+class ReachabilityAnalysis;
+class InstanceDataflow;
+
+/// The per-network fixpoints that several consumers need are memoized here:
+/// the baseline reachability fixpoint (default options) and the instance
+/// dataflow. Each is built at most once, on first use (std::call_once, so
+/// concurrently running rules share one build), and a run that never asks
+/// pays nothing. Callers that render their own report sections around a
+/// rule run (the fleet pipeline, audit_network) build one context, hand it
+/// to RuleEngine::collect, and read the same artifacts afterwards.
 struct RuleContext {
+  RuleContext(const model::Network& network, const graph::InstanceGraph& graph,
+              const RuleOptions& options);
+  ~RuleContext();
+
   const model::Network& network;
   const graph::InstanceGraph& graph;
   const RuleOptions& options;
+
+  /// The reachability answer builds its per-instance route tries on an
+  /// instance's first `instance_has_route_to`, so concurrent readers must
+  /// not query the same instance for the first time at once; within a rule
+  /// run only RD052 reads it.
+  const ReachabilityAnalysis& reachability() const;
+  const InstanceDataflow& dataflow() const;
+
+ private:
+  mutable std::once_flag reachability_once_;
+  mutable std::once_flag dataflow_once_;
+  mutable std::unique_ptr<ReachabilityAnalysis> reachability_;
+  mutable std::unique_ptr<InstanceDataflow> dataflow_;
 };
 
 class RuleEngine {
@@ -154,11 +183,13 @@ class RuleEngine {
   Result run(const model::Network& network, const graph::InstanceGraph& graph,
              util::ThreadPool& pool) const;
 
- private:
-  Result collect(const model::Network& network,
-                 const graph::InstanceGraph& graph,
-                 util::ThreadPool* pool) const;
+  /// Run every rule over a caller-built context — across `pool` when it is
+  /// non-null — so the caller can read the context's memoized artifacts
+  /// after the rules have (or have not) built them. The context's options
+  /// are used, not the engine's.
+  Result collect(const RuleContext& ctx, util::ThreadPool* pool) const;
 
+ private:
   std::vector<Rule> rules_;
   RuleOptions options_;
 };

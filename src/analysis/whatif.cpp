@@ -21,12 +21,20 @@ model::Network without_routers(const model::Network& network,
   return model::Network::build(std::move(configs));
 }
 
-FailureImpact simulate_router_failure(
+namespace {
+
+/// Structural impact of losing `failed`, given the degraded model it leaves
+/// (`after`, partitioned into `instances_after`) and the baseline's
+/// route-exchange redundancy.
+FailureImpact structural_impact(
     const model::Network& network, const graph::InstanceSet& baseline,
-    const std::vector<model::RouterId>& failed) {
+    const std::vector<InstancePairRedundancy>& redundancy,
+    const std::vector<model::RouterId>& failed, const model::Network& after,
+    const graph::InstanceSet& instances_after) {
   FailureImpact impact;
   impact.failed = failed;
   impact.instances_before = baseline.instances.size();
+  impact.instances_after = instances_after.instances.size();
 
   const std::set<model::RouterId> gone(failed.begin(), failed.end());
 
@@ -36,10 +44,6 @@ FailureImpact simulate_router_failure(
   for (model::RouterId r = 0; r < network.router_count(); ++r) {
     if (!gone.contains(r)) new_router[r] = next++;
   }
-
-  const auto after = without_routers(network, failed);
-  const auto instances_after = graph::compute_instances(after);
-  impact.instances_after = instances_after.instances.size();
 
   // Map each surviving baseline process to its new instance via the
   // (router, stanza) identity, and count how many new instances each
@@ -66,8 +70,7 @@ FailureImpact simulate_router_failure(
   }
 
   // Severed pairs: every route-exchange router of the pair failed.
-  const auto graph = graph::InstanceGraph::build(network);
-  for (const auto& entry : redistribution_redundancy(network, graph)) {
+  for (const auto& entry : redundancy) {
     const bool all_gone =
         std::all_of(entry.connecting_routers.begin(),
                     entry.connecting_routers.end(),
@@ -76,8 +79,6 @@ FailureImpact simulate_router_failure(
   }
   return impact;
 }
-
-namespace {
 
 /// Iterative articulation-point computation (Hopcroft-Tarjan low-link) on
 /// one instance's router-level adjacency graph.
@@ -136,6 +137,16 @@ std::vector<model::RouterId> articulation_points(
 
 }  // namespace
 
+FailureImpact simulate_router_failure(
+    const model::Network& network, const graph::InstanceSet& baseline,
+    const std::vector<model::RouterId>& failed) {
+  const auto after = without_routers(network, failed);
+  return structural_impact(
+      network, baseline,
+      redistribution_redundancy(graph::InstanceGraph::build(network)), failed,
+      after, graph::compute_instances(after));
+}
+
 std::vector<ArticulationRouter> instance_articulation_routers(
     const model::Network& network, const graph::InstanceSet& instances) {
   std::vector<ArticulationRouter> out;
@@ -180,9 +191,9 @@ std::vector<ArticulationRouter> instance_articulation_routers(
 }
 
 std::vector<model::RouterId> sole_redistribution_routers(
-    const model::Network& network, const graph::InstanceGraph& graph) {
+    const graph::InstanceGraph& graph) {
   std::set<model::RouterId> routers;
-  for (const auto& entry : redistribution_redundancy(network, graph)) {
+  for (const auto& entry : redistribution_redundancy(graph)) {
     if (entry.single_point_of_failure()) {
       routers.insert(entry.connecting_routers.front());
     }
@@ -197,8 +208,7 @@ std::vector<FailureScenario> single_failure_scenarios(
        instance_articulation_routers(network, graph.set)) {
     candidates.insert(art.router);
   }
-  for (const model::RouterId r :
-       sole_redistribution_routers(network, graph)) {
+  for (const model::RouterId r : sole_redistribution_routers(graph)) {
     candidates.insert(r);
   }
   std::vector<FailureScenario> scenarios;
@@ -215,17 +225,22 @@ std::vector<ScenarioImpact> sweep_failure_scenarios(
     const ReachabilityAnalysis::Options& reach_options,
     util::ThreadPool& pool) {
   // Each scenario is an independent fixpoint on its own degraded network
-  // model; parallel_map puts result i in slot i, so the sweep's output is
-  // identical at any thread count.
+  // model, which also answers the structural question; parallel_map puts
+  // result i in slot i, so the sweep's output is identical at any thread
+  // count. The baseline's redundancy is the same for every scenario.
   obs::counter("sweep.scenarios").add(scenarios.size());
+  const auto redundancy =
+      redistribution_redundancy(graph::InstanceGraph::build(network));
   return util::parallel_map(pool, scenarios, [&](const FailureScenario& s) {
     obs::Span span("sweep.scenario", "reachability");
     span.label(s.name);
     ScenarioImpact impact;
     impact.scenario = s;
-    impact.structural = simulate_router_failure(network, baseline, s.failed);
     const auto degraded = without_routers(network, s.failed);
     const auto degraded_instances = graph::compute_instances(degraded);
+    impact.structural = structural_impact(network, baseline, redundancy,
+                                          s.failed, degraded,
+                                          degraded_instances);
     const auto reach =
         ReachabilityAnalysis::run(degraded, degraded_instances, reach_options);
     for (std::uint32_t i = 0; i < degraded_instances.instances.size(); ++i) {

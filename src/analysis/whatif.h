@@ -58,7 +58,7 @@ std::vector<ArticulationRouter> instance_articulation_routers(
 /// pair (redundancy group of size one) — the other single-failure
 /// disconnection mode.
 std::vector<model::RouterId> sole_redistribution_routers(
-    const model::Network& network, const graph::InstanceGraph& graph);
+    const graph::InstanceGraph& graph);
 
 /// One named failure scenario of a what-if sweep.
 struct FailureScenario {

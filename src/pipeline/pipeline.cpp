@@ -206,24 +206,17 @@ NetworkReport analyze_network(const std::string& name,
   const auto census = analysis::interface_census(network);
   // One engine run covers the consistency and lint sections below plus the
   // vulnerability and cross-router rules; the registry is immutable and
-  // shared across the (possibly concurrent) per-network tasks.
+  // shared across the (possibly concurrent) per-network tasks. The rules
+  // and the sections below share one context, so the reachability fixpoint
+  // and the route-provenance dataflow (DESIGN.md §13) are built once each.
   static const auto engine = analysis::RuleEngine::with_default_rules();
+  const analysis::RuleContext ctx(network, ig, engine.options());
   const auto rules_result = [&] {
     obs::Span span("analyze.rules", "pipeline");
-    return engine.run(network, ig);
+    return engine.collect(ctx, nullptr);
   }();
-  const auto reach = [&] {
-    obs::Span span("analyze.reachability", "pipeline");
-    return analysis::ReachabilityAnalysis::run(network, ig.set);
-  }();
-  // Abstract route-provenance fixpoint over the instance graph (DESIGN.md
-  // §13). Cheap relative to reachability — the domain is instances, not
-  // routers — and its summary only appears when the network actually has
-  // cross-instance edges, so single-instance reports keep their old shape.
-  const auto flow = [&] {
-    obs::Span span("analyze.dataflow", "pipeline");
-    return analysis::InstanceDataflow(network, ig);
-  }();
+  const auto& reach = ctx.reachability();
+  const auto& flow = ctx.dataflow();
   obs::counter("fleet.networks").add();
 
   const auto category_of = [&](const analysis::Finding& f) -> std::string {

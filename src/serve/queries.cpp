@@ -139,7 +139,7 @@ QueryResult audit_report(const model::Network& network,
 
   // --- Vulnerability assessment --------------------------------------------
   appendf(out, "\n=== Vulnerability assessment ===\n");
-  const auto redundancy = analysis::redistribution_redundancy(network, ig);
+  const auto redundancy = analysis::redistribution_redundancy(ig);
   std::size_t spofs = 0;
   for (const auto& entry : redundancy) {
     if (entry.single_point_of_failure()) {
@@ -156,7 +156,7 @@ QueryResult audit_report(const model::Network& network,
           "failure: %zu\n",
           redundancy.size(), spofs);
 
-  const auto backdoors = analysis::detect_backdoor_candidates(network, ig);
+  const auto backdoors = analysis::detect_backdoor_candidates(ig);
   if (backdoors.groups > 1) {
     appendf(out,
             "POTENTIAL BACKDOOR ROUTES: %zu internally-disconnected "
@@ -239,8 +239,12 @@ QueryResult audit_report(const model::Network& network,
   append_survivability(out, network, ig, pool);
 
   // --- Route load (paper §2.3 / §6.2) ---------------------------------------
+  // The design rules at the end share this context, so the baseline
+  // reachability fixpoint read here and the dataflow are each built once.
+  const auto engine = analysis::RuleEngine::with_default_rules();
+  const analysis::RuleContext ctx(network, ig, engine.options());
   appendf(out, "\n=== Route load ===\n");
-  const auto reach = analysis::ReachabilityAnalysis::run(network, ig.set);
+  const auto& reach = ctx.reachability();
   if (const auto warning = reach.convergence_warning(); !warning.empty()) {
     appendf(out, "%s\n", warning.c_str());
   }
@@ -288,8 +292,7 @@ QueryResult audit_report(const model::Network& network,
   // --- Design rules (paper §8: lint, consistency, vulnerability, and the
   // cross-router rules, unified under one registry with provenance) ----------
   appendf(out, "\n=== Design rules ===\n");
-  const auto engine = analysis::RuleEngine::with_default_rules();
-  const auto rules = engine.run(network, ig, pool);
+  const auto rules = engine.collect(ctx, &pool);
   appendf(out,
           "findings: %zu (%zu errors, %zu warnings, %zu info), "
           "suppressed: %zu\n",

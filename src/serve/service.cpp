@@ -87,7 +87,9 @@ void Service::record_latency(const std::string& op, double millis,
 
 Response Service::handle(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
-  obs::Span span("serve." + request.op, "serve");
+  // The span keeps a view of its name, so the name must outlive it.
+  const std::string span_name = "serve." + request.op;
+  obs::Span span(span_name, "serve");
 
   Response response;
   const auto from_query = [&response](QueryResult qr) {

@@ -272,7 +272,7 @@ TEST(Vulnerability, RedundancyGroupsOfNet5Borders) {
   const auto net5 = synth::make_net5();
   const auto net = model::Network::build(synth::reparse(net5.configs));
   const auto graph = graph::InstanceGraph::build(net);
-  const auto redundancy = redistribution_redundancy(net, graph);
+  const auto redundancy = redistribution_redundancy(graph);
   // The 445-router region reaches its BGP instance through 6 redundant
   // redistribution routers (the paper's §5.1 observation).
   bool found_six = false;
@@ -291,7 +291,7 @@ TEST(Vulnerability, SinglePointOfFailureFlagged) {
        "router eigrp 9\n network 10.1.0.0 0.0.255.255\n"
        " redistribute ospf 1\n"});
   const auto graph = graph::InstanceGraph::build(net);
-  const auto redundancy = redistribution_redundancy(net, graph);
+  const auto redundancy = redistribution_redundancy(graph);
   ASSERT_EQ(redundancy.size(), 1u);
   EXPECT_TRUE(redundancy[0].single_point_of_failure());
 }
@@ -340,7 +340,7 @@ TEST(Vulnerability, BackdoorCandidatesFound) {
        " redistribute bgp 65002\n"
        "router bgp 65002\n neighbor 10.9.0.6 remote-as 702\n"});
   const auto graph = graph::InstanceGraph::build(net);
-  const auto backdoors = detect_backdoor_candidates(net, graph);
+  const auto backdoors = detect_backdoor_candidates(graph);
   EXPECT_EQ(backdoors.groups, 2u);
   EXPECT_EQ(backdoors.group_representatives.size(), 2u);
 }
@@ -359,7 +359,7 @@ TEST(Vulnerability, NoBackdoorWhenInternallyConnected) {
        "router eigrp 9\n network 10.2.0.0 0.0.255.255\n"
        "router bgp 65001\n neighbor 10.9.0.2 remote-as 701\n"});
   const auto graph = graph::InstanceGraph::build(net);
-  const auto backdoors = detect_backdoor_candidates(net, graph);
+  const auto backdoors = detect_backdoor_candidates(graph);
   EXPECT_LE(backdoors.groups, 1u);
   EXPECT_TRUE(backdoors.group_representatives.empty());
 }
@@ -371,7 +371,7 @@ TEST(Vulnerability, Net15IsABackdoorCandidate) {
   const auto net15 = synth::make_net15();
   const auto net = model::Network::build(synth::reparse(net15.configs));
   const auto graph = graph::InstanceGraph::build(net);
-  const auto backdoors = detect_backdoor_candidates(net, graph);
+  const auto backdoors = detect_backdoor_candidates(graph);
   EXPECT_EQ(backdoors.groups, 2u);
 }
 

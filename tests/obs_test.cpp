@@ -12,11 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/header_space.h"
+#include "analysis/whatif.h"
 #include "config/writer.h"
+#include "graph/instances.h"
+#include "model/network.h"
 #include "obs/obs.h"
 #include "pipeline/pipeline.h"
+#include "serve/queries.h"
 #include "synth/archetypes.h"
+#include "synth/emit.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -222,6 +229,66 @@ TEST_F(ObsTest, MetricsSectionStableAcrossRunsAndEngines) {
   obs::Registry::instance().set_counting(true);
   const auto counted = pipeline::analyze_fleet_serial({{"net", texts}});
   EXPECT_EQ(serial[0].json, counted[0].json);
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& [key, value] :
+       obs::Registry::instance().counter_values()) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+// The rules and the report sections around them share one RuleContext, so
+// each per-network fixpoint is built once: one dataflow per network, and
+// one baseline reachability fixpoint (plus one per what-if scenario).
+TEST_F(ObsTest, AuditBuildsOneDataflowAndOneBaselineFixpoint) {
+  synth::ManagedEnterpriseParams params;
+  params.seed = 1;
+  const auto network = model::Network::build(
+      synth::reparse(synth::make_managed_enterprise(params).configs));
+  const auto ig = graph::InstanceGraph::build(network);
+  const auto scenarios = analysis::single_failure_scenarios(network, ig);
+  ASSERT_FALSE(scenarios.empty());
+  util::ThreadPool pool(4);
+  obs::Registry::instance().set_counting(true);
+  serve::audit_report(network, ig, pool);
+  EXPECT_EQ(counter_value("dataflow.runs"), 1u);
+  EXPECT_EQ(counter_value("reachability.runs"), 1u + scenarios.size());
+}
+
+TEST_F(ObsTest, FleetPassBuildsOneDataflowAndOneFixpointPerNetwork) {
+  const auto texts = small_network_texts();
+  const std::vector<pipeline::FleetInput> inputs = {
+      {"net-a", texts}, {"net-b", texts}, {"net-c", texts}};
+  obs::Registry::instance().set_counting(true);
+  pipeline::Options options;
+  options.threads = 2;
+  ASSERT_EQ(pipeline::analyze_fleet_parallel(inputs, options).size(), 3u);
+  EXPECT_EQ(counter_value("dataflow.runs"), 3u);
+  EXPECT_EQ(counter_value("reachability.runs"), 3u);
+}
+
+// With an "! rd-intent" line, RD052 and the report's intent section read
+// the same baseline fixpoint instead of each running their own.
+TEST_F(ObsTest, IntentRuleSharesTheBaselineFixpoint) {
+  auto texts = small_network_texts();
+  texts[0] += "! rd-intent allow 10.0.0.0/8 10.0.0.0/8\n";
+  const auto network = pipeline::build_network_serial(texts);
+  ASSERT_FALSE(analysis::collect_intents(network).empty());
+  const auto ig = graph::InstanceGraph::build(network);
+  const auto scenarios = analysis::single_failure_scenarios(network, ig);
+  util::ThreadPool pool(2);
+
+  obs::Registry::instance().set_counting(true);
+  serve::audit_report(network, ig, pool);
+  EXPECT_EQ(counter_value("reachability.runs"), 1u + scenarios.size());
+
+  disarm_and_reset();
+  obs::Registry::instance().set_counting(true);
+  const auto report = pipeline::analyze_network("net", network);
+  EXPECT_NE(report.json.find("\"intents\""), std::string::npos);
+  EXPECT_EQ(counter_value("reachability.runs"), 1u);
 }
 
 TEST_F(ObsTest, CountersJsonIsNameSortedAndCompact) {

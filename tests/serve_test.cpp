@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "config/writer.h"
 #include "graph/instances.h"
 #include "model/network.h"
+#include "obs/obs.h"
 #include "pipeline/parse_cache.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/series.h"
@@ -38,17 +40,28 @@ namespace rd {
 namespace {
 
 std::filesystem::path fleet_dir() {
-  static const auto dir = [] {
-    const auto d = std::filesystem::path(testing::TempDir()) / "rd_serve_fleet";
-    std::filesystem::remove_all(d);
-    synth::ManagedEnterpriseParams params;
-    params.regions = 2;
-    params.spokes_per_region = 4;
-    params.ebgp_spoke_rate = 0.3;
-    synth::emit_network(synth::make_managed_enterprise(params).configs, d);
-    return d;
-  }();
-  return dir;
+  // One directory per process: ctest runs each case as its own process,
+  // concurrently, and one must not delete the fleet another is reading.
+  struct Dir {
+    std::filesystem::path path =
+        std::filesystem::path(testing::TempDir()) /
+        ("rd_serve_fleet_" + std::to_string(::getpid()));
+    Dir() {
+      std::filesystem::remove_all(path);
+      synth::ManagedEnterpriseParams params;
+      params.regions = 2;
+      params.spokes_per_region = 4;
+      params.ebgp_spoke_rate = 0.3;
+      synth::emit_network(synth::make_managed_enterprise(params).configs,
+                          path);
+    }
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
 }
 
 /// The one-shot CLI's construction of the same fleet: parse with file
@@ -332,6 +345,38 @@ TEST(ServeService, DispatchErrorsAndHousekeepingOps) {
   EXPECT_NE(stats.output.find("\"response_cache\""), std::string::npos);
   EXPECT_NE(stats.output.find("\"p99_ms\""), std::string::npos);
   EXPECT_NE(stats.output.find("\"queue_depth\""), std::string::npos);
+}
+
+TEST(ServeService, TracedRequestsRecordTheirRootSpans) {
+  // Each request's root span is named "serve.<op>"; the span keeps a view
+  // of that name, so the name must outlive it (under ASan a temporary name
+  // shows up as stack-use-after-scope).
+  serve::Service::Options options;
+  options.threads = 1;
+  serve::Service service(options);
+  service.add_fleet("corp", fleet_dir().string());
+  auto& registry = obs::Registry::instance();
+  registry.reset();
+  registry.set_tracing(true);
+  EXPECT_EQ(service.handle(op_request("ping")).output, "pong\n");
+  EXPECT_TRUE(service.handle(op_request("audit")).ok);
+  registry.set_tracing(false);
+
+  const auto doc = util::Json::parse(registry.trace_json());
+  registry.reset();
+  ASSERT_TRUE(doc.has_value());
+  const auto* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    if (const auto* name = events->at(i)->get("name")) {
+      if (const auto* text = name->if_string()) names.push_back(*text);
+    }
+  }
+  for (const char* expected : {"serve.ping", "serve.audit"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
+        << expected << " missing from the trace";
+  }
 }
 
 TEST(ServeService, RepeatAnalysisRequestsHitTheResponseCache) {

@@ -169,7 +169,7 @@ TEST(SoleRedistribution, FindsSingletons) {
        "router eigrp 9\n network 10.2.0.0 0.0.255.255\n"
        " redistribute ospf 1\n"});
   const auto graph = graph::InstanceGraph::build(net);
-  const auto sole = sole_redistribution_routers(net, graph);
+  const auto sole = sole_redistribution_routers(graph);
   ASSERT_EQ(sole.size(), 1u);
   EXPECT_EQ(sole[0], 0u);
 }
@@ -225,7 +225,7 @@ TEST(SimulateFailure, Net5SixBorderFailureSeversCompartment) {
   // Find the 6-router redundancy group.
   const auto graph = graph::InstanceGraph::build(network);
   std::vector<model::RouterId> six;
-  for (const auto& entry : redistribution_redundancy(network, graph)) {
+  for (const auto& entry : redistribution_redundancy(graph)) {
     if (entry.connecting_routers.size() == 6) {
       six = entry.connecting_routers;
       break;
