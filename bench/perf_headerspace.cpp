@@ -1,6 +1,7 @@
 // Symbolic header-space benchmarks (DESIGN.md §11): predicate-algebra
-// throughput on real ACL shapes, full ingress/egress pair-predicate
-// construction, and intent verification. The differential suite
+// throughput on real ACL shapes, the RD050 shadow check against the full
+// first-match lowering, full ingress/egress pair-predicate construction,
+// and intent verification. The differential suite
 // (symbolic_differential_test) proves the predicates agree with the
 // concrete probe engine; these benchmarks track the cost of exactness.
 
@@ -21,6 +22,7 @@
 #include "model/policy.h"
 #include "synth/archetypes.h"
 #include "synth/emit.h"
+#include "synth/fleet.h"
 
 namespace {
 
@@ -52,8 +54,7 @@ const Workload& workload() {
 }
 
 // ACL lowering + self-equivalence: the subtract/emptiness path on every
-// access list in the workload, the inner loop of RD050 and of equivalence
-// queries.
+// access list in the workload, the inner loop of equivalence queries.
 void BM_AclSelfEquivalence(benchmark::State& state) {
   const auto& w = workload();
   std::size_t acls = 0;
@@ -76,6 +77,73 @@ void BM_AclSelfEquivalence(benchmark::State& state) {
   state.counters["acls"] = static_cast<double>(acls);
 }
 BENCHMARK(BM_AclSelfEquivalence)->Unit(benchmark::kMillisecond);
+
+// The packet filters (access-group lists of two or more clauses) of the
+// seed-1 fleet network carrying the most filter clauses — the input RD050
+// lowers. Built once.
+const std::vector<config::AccessList>& fleet_packet_filters() {
+  static const std::vector<config::AccessList>* filters = [] {
+    auto* best = new std::vector<config::AccessList>;
+    std::size_t best_clauses = 0;
+    for (const auto& net : synth::generate_fleet(1).networks) {
+      std::vector<config::AccessList> lists;
+      std::size_t clauses = 0;
+      for (const auto& cfg : net.configs) {
+        for (const auto& acl : cfg.access_lists) {
+          if (acl.rules.size() < 2) continue;
+          for (const auto& itf : cfg.interfaces) {
+            if (itf.access_group_in == acl.id ||
+                itf.access_group_out == acl.id) {
+              lists.push_back(acl);
+              clauses += acl.rules.size();
+              break;
+            }
+          }
+        }
+      }
+      if (clauses > best_clauses) {
+        best_clauses = clauses;
+        *best = std::move(lists);
+      }
+    }
+    return best;
+  }();
+  return *filters;
+}
+
+// The RD050 shadow check over one large network's packet filters: Arg(0)
+// is model::shadowed_clauses, Arg(1) the full first-match lowering
+// (SymbolicPacketFilter construction) that answers the same question from
+// its empty effective regions.
+void BM_ShadowedClauses(benchmark::State& state) {
+  const auto& filters = fleet_packet_filters();
+  const bool lowering = state.range(0) != 0;
+  std::size_t shadowed = 0;
+  for (auto _ : state) {
+    shadowed = 0;
+    for (const auto& acl : filters) {
+      model::ProtocolDomain domain;
+      if (lowering) {
+        const model::SymbolicPacketFilter filter(acl, domain);
+        for (const auto& region : filter.effective()) {
+          shadowed += region.is_empty() ? 1 : 0;
+        }
+      } else {
+        shadowed += model::shadowed_clauses(acl, domain).size();
+      }
+    }
+    benchmark::DoNotOptimize(shadowed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(filters.size()));
+  state.counters["acls"] = static_cast<double>(filters.size());
+  state.counters["shadowed"] = static_cast<double>(shadowed);
+}
+BENCHMARK(BM_ShadowedClauses)
+    ->ArgName("lowering")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // Pair-predicate construction: a fresh HeaderSpace computing the exact
 // packet set for the first N ingress interfaces against one egress.

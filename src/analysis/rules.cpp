@@ -412,8 +412,7 @@ std::vector<Finding> rule_shadowed_acl_entry(const RuleContext& ctx) {
         // Packet semantics: exact cross-product regions over
         // (src, dst, protocol, port), as acl_permits_packet evaluates them.
         model::ProtocolDomain domain;
-        const model::SymbolicPacketFilter symbolic(acl, domain);
-        for (const std::size_t i : symbolic.shadowed()) {
+        for (const std::size_t i : model::shadowed_clauses(acl, domain)) {
           if (lint_already_flags(acl, i)) continue;
           out.push_back(make_finding(
               r, acl.id,

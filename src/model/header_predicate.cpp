@@ -17,22 +17,6 @@ std::optional<ip::Prefix> prefix_intersect(const ip::Prefix& a,
   return std::nullopt;
 }
 
-std::optional<HeaderAtom> atom_intersect(const HeaderAtom& a,
-                                         const HeaderAtom& b) noexcept {
-  const auto src = prefix_intersect(a.source, b.source);
-  if (!src) return std::nullopt;
-  const auto dst = prefix_intersect(a.destination, b.destination);
-  if (!dst) return std::nullopt;
-  HeaderAtom out;
-  out.source = *src;
-  out.destination = *dst;
-  out.protocols = a.protocols & b.protocols;
-  out.port_lo = std::max(a.port_lo, b.port_lo);
-  out.port_hi = std::min(a.port_hi, b.port_hi);
-  if (out.empty()) return std::nullopt;
-  return out;
-}
-
 /// `a \ b` for the prefix coordinate, emitted in the same sorted order
 /// prefix_difference returns but through a stack buffer: the siblings are
 /// generated bottom-up in strictly decreasing length, so emitting them in
@@ -106,6 +90,22 @@ void append_peeled_pieces(const HeaderAtom& have, const HeaderAtom& hole,
 }
 
 }  // namespace
+
+std::optional<HeaderAtom> atom_intersect(const HeaderAtom& a,
+                                         const HeaderAtom& b) noexcept {
+  const auto src = prefix_intersect(a.source, b.source);
+  if (!src) return std::nullopt;
+  const auto dst = prefix_intersect(a.destination, b.destination);
+  if (!dst) return std::nullopt;
+  HeaderAtom out;
+  out.source = *src;
+  out.destination = *dst;
+  out.protocols = a.protocols & b.protocols;
+  out.port_lo = std::max(a.port_lo, b.port_lo);
+  out.port_hi = std::min(a.port_hi, b.port_hi);
+  if (out.empty()) return std::nullopt;
+  return out;
+}
 
 bool operator<(const HeaderAtom& a, const HeaderAtom& b) noexcept {
   if (a.source != b.source) return a.source < b.source;

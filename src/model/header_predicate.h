@@ -98,6 +98,11 @@ struct HeaderAtom {
 /// Deterministic ordering for normalization and witness selection.
 bool operator<(const HeaderAtom& a, const HeaderAtom& b) noexcept;
 
+/// `a ∩ b`, itself a single atom (each coordinate set is closed under
+/// intersection); nullopt when the two share no header.
+std::optional<HeaderAtom> atom_intersect(const HeaderAtom& a,
+                                         const HeaderAtom& b) noexcept;
+
 /// Set difference of two prefixes as a disjoint prefix cover:
 /// `a \ b` — empty when b covers a, `{a}` when they are disjoint, and the
 /// sibling prefixes along the trie path from a down to b when b ⊂ a (at

@@ -1,5 +1,7 @@
 #include "model/policy.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <utility>
@@ -186,8 +188,8 @@ bool CompiledPrefixList::permits_route(const Route& route) const {
   return best != std::numeric_limits<std::size_t>::max() && permit;
 }
 
-HeaderPredicate acl_rule_match_region(const config::AclRule& rule,
-                                      ProtocolDomain& domain) {
+HeaderAtom acl_rule_match_atom(const config::AclRule& rule,
+                               ProtocolDomain& domain) {
   HeaderAtom atom;  // /0 × /0 × any protocol × [0, kNoPort]
   if (!rule.any_source) atom.source = rule.source;
   if (rule.extended) {
@@ -198,39 +200,97 @@ HeaderPredicate acl_rule_match_region(const config::AclRule& rule,
       atom.port_hi = *rule.destination_port;
     }
   }
-  return HeaderPredicate::of(atom);
+  return atom;
+}
+
+std::vector<std::size_t> shadowed_clauses(const config::AccessList& acl,
+                                          ProtocolDomain& domain) {
+  // Clause i is shadowed exactly when atom_i \ (atom_0 ∪ ... ∪ atom_{i-1})
+  // is empty. Only the parts of the earlier atoms inside atom_i matter, so
+  // each earlier atom is first cut down to its hole atom_i ∩ atom_j (one
+  // atom, or nothing). A hole equal to atom_i shadows the clause outright;
+  // no hole at all leaves it live. Otherwise atom_i is peeled by the holes.
+  //
+  // Emptiness of atom_i minus the union of the holes is a property of the
+  // *set* of holes — a union does not depend on the order its terms are
+  // taken in — so the peel may visit them in any order without changing
+  // the answer, only the number of fragments along the way. Peeling the
+  // largest holes first (fewest fixed address bits, then the widest
+  // protocol mask, then the widest port interval; ties in clause order)
+  // removes most of the atom before narrow holes can splinter it. Clause
+  // order, which SymbolicPacketFilter must follow to attribute each header
+  // to its first matching clause, is the worst case when many host-specific
+  // clauses precede a broad one: each narrow hole fragments the atom before
+  // the broad hole swallows it.
+  std::vector<HeaderAtom> atoms;
+  atoms.reserve(acl.rules.size());
+  for (const auto& rule : acl.rules) {
+    atoms.push_back(acl_rule_match_atom(rule, domain));
+  }
+  const auto larger_first = [](const HeaderAtom& a, const HeaderAtom& b) {
+    const int a_bits = a.source.length() + a.destination.length();
+    const int b_bits = b.source.length() + b.destination.length();
+    if (a_bits != b_bits) return a_bits < b_bits;
+    const int a_protocols = std::popcount(a.protocols);
+    const int b_protocols = std::popcount(b.protocols);
+    if (a_protocols != b_protocols) return a_protocols > b_protocols;
+    return a.port_hi - a.port_lo > b.port_hi - b.port_lo;
+  };
+  std::vector<std::size_t> out;
+  std::vector<HeaderAtom> holes;
+  std::vector<HeaderAtom> scratch;  // reused across every peel below
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    holes.clear();
+    bool covered = false;
+    for (std::size_t j = 0; j < i && !covered; ++j) {
+      if (const auto hole = atom_intersect(atoms[i], atoms[j])) {
+        covered = *hole == atoms[i];
+        holes.push_back(*hole);
+      }
+    }
+    if (!covered && !holes.empty()) {
+      std::stable_sort(holes.begin(), holes.end(), larger_first);
+      HeaderPredicate rest = HeaderPredicate::of(atoms[i]);
+      for (const auto& hole : holes) {
+        rest.subtract_in_place(hole, scratch);
+        if (rest.is_empty()) break;
+      }
+      covered = rest.is_empty();
+    }
+    if (covered) out.push_back(i);
+  }
+  return out;
 }
 
 SymbolicPacketFilter::SymbolicPacketFilter(const config::AccessList& acl,
                                            ProtocolDomain& domain) {
   // First-match-wins, run on all headers at once: each clause decides only
   // the part of its match region no earlier clause claimed. Each clause is
-  // peeled independently against the earlier clauses' match regions;
+  // peeled independently against the earlier clauses' match atoms;
   // materializing a running "unclaimed" predicate instead fragments every
   // clause jointly and blows up on host-specific filter lists.
-  std::vector<HeaderPredicate> regions;
+  std::vector<HeaderAtom> regions;
   regions.reserve(acl.rules.size());
   effective_.reserve(acl.rules.size());
   std::vector<HeaderAtom> scratch;  // reused across every peel below
   for (std::size_t i = 0; i < acl.rules.size(); ++i) {
     const auto& rule = acl.rules[i];
-    HeaderPredicate region = acl_rule_match_region(rule, domain);
-    HeaderPredicate effective = region;
+    const HeaderAtom region = acl_rule_match_atom(rule, domain);
+    HeaderPredicate effective = HeaderPredicate::of(region);
     for (std::size_t j = 0; j < i && !effective.is_empty(); ++j) {
       effective.subtract_in_place(regions[j], scratch);
     }
     // A single clause region peeled by disjoint holes stays a disjoint
     // union, so the cheap disjoint normalize is exact here.
     effective.normalize_disjoint();
-    if (effective.is_empty()) {
-      shadowed_.push_back(i);
-    } else if (rule.action == config::FilterAction::kPermit) {
+    if (!effective.is_empty() &&
+        rule.action == config::FilterAction::kPermit) {
       // Effective regions of different clauses are disjoint by first-match
       // construction.
       permitted_.unite_disjoint(effective);
     }
     effective_.push_back(std::move(effective));
-    regions.push_back(std::move(region));
+    regions.push_back(region);
   }
   permitted_.normalize_disjoint();
   // Off the end of the list is the implicit deny: headers no clause

@@ -163,9 +163,18 @@ class CompiledPrefixList {
 /// semantics (for a packet with a *specified* protocol): standard clauses
 /// constrain the source only; extended clauses add protocol, destination,
 /// and — when an `eq` port is present — the destination port, in which case
-/// the portless packet (kNoPort) is excluded.
-HeaderPredicate acl_rule_match_region(const config::AclRule& rule,
-                                      ProtocolDomain& domain);
+/// the portless packet (kNoPort) is excluded. Every coordinate is a single
+/// prefix, mask or interval, so the set is always one (non-empty) atom.
+HeaderAtom acl_rule_match_atom(const config::AclRule& rule,
+                               ProtocolDomain& domain);
+
+/// Indices of the clauses of `acl` that can never match a packet: the
+/// earlier clauses' match atoms together cover the clause's own (paper
+/// §5.3's error-prone IOS filters). Exactly the clauses whose
+/// SymbolicPacketFilter effective region is empty, decided without
+/// building any effective region.
+std::vector<std::size_t> shadowed_clauses(const config::AccessList& acl,
+                                          ProtocolDomain& domain);
 
 /// An access list lowered to packet-set predicates: the exact set of
 /// headers the list permits, plus per-clause first-match effectiveness.
@@ -179,21 +188,15 @@ class SymbolicPacketFilter {
   const HeaderPredicate& permitted() const noexcept { return permitted_; }
 
   /// Headers each clause actually decides (its match region minus every
-  /// earlier clause's). One entry per clause, in clause order.
+  /// earlier clause's). One entry per clause, in clause order; an empty
+  /// entry is a clause shadowed_clauses() reports.
   const std::vector<HeaderPredicate>& effective() const noexcept {
     return effective_;
-  }
-
-  /// Indices of clauses whose effective region is empty — dead clauses the
-  /// earlier ones fully shadow (paper §5.3's error-prone IOS filters).
-  const std::vector<std::size_t>& shadowed() const noexcept {
-    return shadowed_;
   }
 
  private:
   HeaderPredicate permitted_;
   std::vector<HeaderPredicate> effective_;
-  std::vector<std::size_t> shadowed_;
 };
 
 class PolicyCompiler;

@@ -226,9 +226,15 @@ std::string Service::stats_json() const {
       op.set("op", entry.op);
       op.set("count", entry.latency_ms.size() + entry.build_ms.size());
       // Percentiles cover served requests only; the one-time cold fills
-      // would otherwise dominate p99 forever on a warm daemon.
-      op.set("p50_ms", util::quantile(entry.latency_ms, 0.50));
-      op.set("p99_ms", util::quantile(entry.latency_ms, 0.99));
+      // would otherwise dominate p99 forever on a warm daemon. An op with
+      // no served request yet has no percentile: null, not a false 0.
+      const auto percentile = [&](double q) {
+        return entry.latency_ms.empty()
+                   ? util::Json()
+                   : util::Json(util::quantile(entry.latency_ms, q));
+      };
+      op.set("p50_ms", percentile(0.50));
+      op.set("p99_ms", percentile(0.99));
       op.set("builds", entry.build_ms.size());
       double build_total = 0.0;
       for (const auto ms : entry.build_ms) build_total += ms;

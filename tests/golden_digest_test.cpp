@@ -9,7 +9,9 @@
 // Covered: the fleet report's "redistribution" section and metric counters
 // for every seed-1 fleet network with cross-instance edges, the RD060-RD064
 // JSON findings on every planted defect the mutation differential grades,
-// and the audit and what-if report text of the seed-1 managed enterprise.
+// the RD050 (shadowed-acl-entry) JSON findings on every seed-1 fleet
+// network, and the audit and what-if report text of the seed-1 managed
+// enterprise.
 
 #include <gtest/gtest.h>
 
@@ -100,6 +102,28 @@ TEST(GoldenDigest, RedistributionBandFindingsOnPlantedDefects) {
   EXPECT_EQ(plants, 10u);
   EXPECT_EQ(util::Sha1::hex(digested),
             "527b3f602a57f5e04034182f4ee34b307b8551cb");
+}
+
+TEST(GoldenDigest, ShadowedAclFindingsAcrossFleet) {
+  // RD050 alone on every fleet network: both its packet-filter and its
+  // route-filter paths, with the clause lines the findings carry.
+  const auto all = analysis::RuleEngine::with_default_rules();
+  analysis::RuleEngine shadow;
+  for (const auto& rule : all.rules()) {
+    if (rule.info.id == "RD050") shadow.add(rule.info, rule.fn);
+  }
+  ASSERT_EQ(shadow.rules().size(), 1u);
+  std::string digested;
+  std::size_t findings = 0;
+  for (const auto& net : fleet().networks) {
+    const auto network = model::Network::build(synth::reparse(net.configs));
+    const auto report = shadow.run(network);
+    findings += report.findings.size();
+    digested += analysis::findings_to_json(shadow, report, net.name);
+  }
+  EXPECT_GT(findings, 0u);
+  EXPECT_EQ(util::Sha1::hex(digested),
+            "05018fc63c6d671bc521fa5d9bc42770a3f7b3bd");
 }
 
 TEST(GoldenDigest, ManagedEnterpriseAuditAndWhatIfText) {

@@ -1,8 +1,8 @@
 // Unit tests for the symbolic header-space layer: the HeaderPredicate
 // union-of-boxes algebra (intersect / subtract / emptiness / equivalence,
 // with the port-line edges 0, 65535 and kNoPort and prefix aliasing),
-// the SymbolicPacketFilter ACL lowering with its golden shadowed-clause
-// fixtures, and the HeaderSpace pair predicates and intent verification
+// the SymbolicPacketFilter ACL lowering and the shadowed-clause check with
+// their golden fixtures, and the HeaderSpace pair predicates and intent verification
 // against hand-computable two-LAN networks.
 
 #include <gtest/gtest.h>
@@ -238,8 +238,8 @@ TEST(SymbolicPacketFilter, GoldenShadowedExtendedClauses) {
       "access-list 101 deny tcp 10.2.0.0 0.0.255.255 any eq 80\n"
       "access-list 101 permit ip any any\n");
   model::ProtocolDomain domain;
-  const model::SymbolicPacketFilter symbolic(acl, domain);
-  EXPECT_EQ(symbolic.shadowed(), (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(model::shadowed_clauses(acl, domain),
+            (std::vector<std::size_t>{2, 3}));
 }
 
 TEST(SymbolicPacketFilter, PortOnlyDistinctionIsNotShadowing) {
@@ -248,8 +248,8 @@ TEST(SymbolicPacketFilter, PortOnlyDistinctionIsNotShadowing) {
       "access-list 101 deny tcp any any eq 443\n"
       "access-list 101 permit tcp any any\n");
   model::ProtocolDomain domain;
+  EXPECT_TRUE(model::shadowed_clauses(acl, domain).empty());
   const model::SymbolicPacketFilter symbolic(acl, domain);
-  EXPECT_TRUE(symbolic.shadowed().empty());
   // The permit set is exactly tcp minus ports {80, 443}: the portless tcp
   // packet and every other port pass.
   const auto tcp = domain.packet_bit("tcp");

@@ -482,6 +482,50 @@ TEST(ServeService, StatsSeparateColdBuildsFromServingLatency) {
   EXPECT_TRUE(found) << stats.output;
 }
 
+TEST(ServeService, StatsReportNoPercentileWithoutServedSamples) {
+  // One cold reachability call: a build, and no served request to take a
+  // percentile over. The percentiles read null, not a misleading 0.
+  const auto& ref = Reference::instance();
+  std::vector<std::string> addresses;
+  for (const auto& itf : ref.network.interfaces()) {
+    if (itf.address) addresses.push_back(itf.address->to_string());
+    if (addresses.size() == 2) break;
+  }
+  ASSERT_EQ(addresses.size(), 2u);
+  serve::Request reach;
+  reach.op = "reachability";
+  reach.source = addresses[0];
+  reach.destination = addresses[1];
+  serve::Service::Options options;
+  options.threads = 1;
+  serve::Service service(options);
+  service.add_fleet("corp", fleet_dir().string());
+  ASSERT_TRUE(service.handle(reach).ok);
+
+  const auto stats = service.handle(op_request("stats"));
+  const auto doc = util::Json::parse(stats.output);
+  ASSERT_TRUE(doc.has_value() && doc->is_object()) << stats.output;
+  const auto* ops = doc->get("ops");
+  ASSERT_TRUE(ops != nullptr && ops->is_array());
+  bool found = false;
+  for (std::size_t i = 0; i < ops->size(); ++i) {
+    const auto* entry = ops->at(i);
+    const auto* op = entry->get("op");
+    if (op == nullptr || op->if_string() == nullptr ||
+        *op->if_string() != "reachability") {
+      continue;
+    }
+    found = true;
+    EXPECT_EQ(entry->get("count")->int_or(-1), 1);
+    EXPECT_EQ(entry->get("builds")->int_or(-1), 1);
+    ASSERT_NE(entry->get("p50_ms"), nullptr);
+    ASSERT_NE(entry->get("p99_ms"), nullptr);
+    EXPECT_TRUE(entry->get("p50_ms")->is_null());
+    EXPECT_TRUE(entry->get("p99_ms")->is_null());
+  }
+  EXPECT_TRUE(found) << stats.output;
+}
+
 TEST(ServeService, ConcurrentClientsGetIdenticalBytes) {
   util::ThreadPool reference_pool(1);
   const auto requests = analysis_requests();

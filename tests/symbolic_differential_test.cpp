@@ -5,11 +5,14 @@
 // engine is the oracle; any disagreement is a bug in one of them.
 //
 // Also here: ACL self-equivalence over every packet filter in the fleet
-// (the lowering must be stable and the equivalence decision reflexive), and
-// byte-identical rule reports at 1/2/8 threads on an intent-bearing network.
+// (the lowering must be stable and the equivalence decision reflexive), the
+// shadowed-clause fast path against the first-match effective regions on
+// fleet and random ACLs, and byte-identical rule reports at 1/2/8 threads
+// on an intent-bearing network.
 //
 // Stress volume is dialable: RD_FUZZ_SEEDS (default 2) networks-orderings,
-// RD_FUZZ_ITERS (default 1400) header samples per network.
+// RD_FUZZ_ITERS (default 1400) header samples per network (and random ACLs
+// per seed).
 
 #include <gtest/gtest.h>
 
@@ -130,6 +133,17 @@ TEST(SymbolicDifferential, ConcreteVerdictEqualsSymbolicMembership) {
   EXPECT_GE(samples, 10000u);
 }
 
+/// The clauses whose first-match effective region is empty: the oracle for
+/// model::shadowed_clauses, which decides the same without building them.
+std::vector<std::size_t> empty_effective_regions(
+    const model::SymbolicPacketFilter& filter) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < filter.effective().size(); ++i) {
+    if (filter.effective()[i].is_empty()) out.push_back(i);
+  }
+  return out;
+}
+
 TEST(SymbolicDifferential, AclSelfEquivalenceAcrossFleet) {
   // Every packet filter in the fleet lowers to the same predicate twice,
   // and the equivalence decision recognizes it. Exercises the subtract /
@@ -145,11 +159,115 @@ TEST(SymbolicDifferential, AclSelfEquivalenceAcrossFleet) {
         const model::SymbolicPacketFilter b(acl, domain_b);
         ASSERT_TRUE(a.permitted().equivalent(b.permitted()))
             << net.name << " acl " << acl.id;
+        model::ProtocolDomain domain_c;
+        ASSERT_EQ(model::shadowed_clauses(acl, domain_c),
+                  empty_effective_regions(a))
+            << net.name << " acl " << acl.id;
         ++checked;
       }
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+/// A random access list built to stress the shadow check: addresses come
+/// from a small tree of nested host and subnet prefixes (so clauses overlap
+/// often, in both address fields), protocols mix the `ip` wildcard with
+/// tcp/udp/icmp, ports mix `eq` with portless clauses, and some clauses are
+/// exact duplicates of earlier ones or come after a pair of earlier clauses
+/// that cover them only together (the two halves of one of their address
+/// prefixes).
+config::AccessList random_acl(util::Rng& rng) {
+  static const char* kPrefixes[] = {
+      "10.0.0.0/8",    "10.1.0.0/16",   "10.1.2.0/24",  "10.1.2.0/25",
+      "10.1.2.128/25", "10.1.2.3/32",   "10.1.2.200/32", "10.2.0.0/16",
+      "10.2.3.0/24",   "192.168.0.0/16", "192.168.1.1/32"};
+  static const char* kProtocols[] = {"ip", "tcp", "udp", "icmp"};
+  static const std::uint16_t kPorts[] = {22, 53, 80, 443};
+  const auto prefix = [&]() {
+    return *ip::Prefix::parse(kPrefixes[rng.below(std::size(kPrefixes))]);
+  };
+  config::AccessList acl;
+  acl.id = "101";
+  const std::size_t length = 2 + rng.below(14);
+  while (acl.rules.size() < length) {
+    config::AclRule rule;
+    rule.action = rng.chance(0.5) ? config::FilterAction::kPermit
+                                  : config::FilterAction::kDeny;
+    if (!acl.rules.empty() && rng.chance(0.15)) {
+      rule = acl.rules[rng.below(acl.rules.size())];  // exact duplicate
+      acl.rules.push_back(rule);
+      continue;
+    }
+    rule.extended = rng.chance(0.85);
+    rule.any_source = rng.chance(0.3);
+    if (!rule.any_source) rule.source = prefix();
+    if (rule.extended) {
+      rule.protocol = kProtocols[rng.below(std::size(kProtocols))];
+      rule.any_destination = rng.chance(0.3);
+      if (!rule.any_destination) rule.destination = prefix();
+      if (rule.protocol != "ip" && rng.chance(0.4)) {
+        rule.destination_port = kPorts[rng.below(std::size(kPorts))];
+      }
+    }
+    const bool split_source = !rule.any_source && rule.source.length() < 32;
+    const bool split_destination = rule.extended && !rule.any_destination &&
+                                   rule.destination.length() < 32;
+    if ((split_source || split_destination) && rng.chance(0.25)) {
+      // Two earlier clauses, one per half of an address prefix, that cover
+      // this clause only together.
+      auto low = rule;
+      auto high = rule;
+      high.action = rng.chance(0.5) ? config::FilterAction::kPermit
+                                    : config::FilterAction::kDeny;
+      const bool source =
+          split_source && (!split_destination || rng.chance(0.5));
+      const ip::Prefix& whole = source ? rule.source : rule.destination;
+      const ip::Prefix half(whole.network(), whole.length() + 1);
+      (source ? low.source : low.destination) = half;
+      (source ? high.source : high.destination) = half.buddy();
+      acl.rules.push_back(low);
+      acl.rules.push_back(high);
+    }
+    acl.rules.push_back(rule);
+  }
+  for (std::size_t i = 0; i < acl.rules.size(); ++i) acl.rules[i].line = i + 1;
+  return acl;
+}
+
+TEST(SymbolicDifferential, ShadowedClausesMatchEffectiveRegionsOnRandomAcls) {
+  const auto seeds = env_u64("RD_FUZZ_SEEDS", 2);
+  const auto iters = env_u64("RD_FUZZ_ITERS", 1400);
+  std::size_t shadowed = 0;
+  std::size_t multi_cover = 0;
+  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+    util::Rng rng(0xac15ULL * (seed + 1));
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      const auto acl = random_acl(rng);
+      model::ProtocolDomain domain_a;
+      const model::SymbolicPacketFilter filter(acl, domain_a);
+      model::ProtocolDomain domain_b;
+      const auto fast = model::shadowed_clauses(acl, domain_b);
+      const auto expected = empty_effective_regions(filter);
+      ASSERT_EQ(fast, expected) << "seed " << seed << " acl " << i;
+      shadowed += fast.size();
+      // Shadowed with no single earlier clause covering it: the cover took
+      // two or more clauses together.
+      model::ProtocolDomain domain_c;
+      for (const std::size_t c : fast) {
+        const auto atom = model::acl_rule_match_atom(acl.rules[c], domain_c);
+        bool single = false;
+        for (std::size_t j = 0; j < c && !single; ++j) {
+          single = model::acl_rule_match_atom(acl.rules[j], domain_c)
+                       .covers(atom);
+        }
+        if (!single) ++multi_cover;
+      }
+    }
+  }
+  // The generator must actually reach both kinds of shadowing.
+  EXPECT_GT(shadowed, 0u);
+  EXPECT_GT(multi_cover, 0u);
 }
 
 TEST(SymbolicDifferential, MutatedAclIsNotEquivalent) {
