@@ -2,6 +2,7 @@
 // figure). Covers the design choices called out in DESIGN.md section 5:
 //   - instance closure via union-find vs explicit BFS flood fill;
 //   - the paper's half-used address join vs exact CIDR aggregation;
+//   - the router RIB's administrative-distance selection;
 //   - parse/serialize/anonymize throughput and model-build scaling.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "analysis/egress.h"
 #include "analysis/ibgp.h"
 #include "analysis/reachability.h"
+#include "analysis/router_rib.h"
 #include "analysis/whatif.h"
 #include "anonymize/anonymizer.h"
 #include "config/parser.h"
@@ -387,18 +389,32 @@ BENCHMARK(BM_InstanceClosure_Bfs)->Arg(20)->Arg(80)->Complexity();
 
 // --- ablation: address-structure join rule ----------------------------------------
 
+// Per-phase inputs: 0 is the 40-spoke-per-region managed network above; 1
+// is the 260-router seed-1 managed enterprise, the first network of the
+// cold-audit benchmark.
+model::Network phase_input(std::int64_t which) {
+  if (which == 0) {
+    return model::Network::build(synth::reparse(managed_of_size(40).configs));
+  }
+  synth::ManagedEnterpriseParams p;
+  p.seed = 1;
+  return model::Network::build(
+      synth::reparse(synth::make_managed_enterprise(p).configs));
+}
+
 void BM_AddressStructure_HalfUsedJoin(benchmark::State& state) {
-  const auto net = managed_of_size(40);
-  const auto network = model::Network::build(synth::reparse(net.configs));
+  const auto network = phase_input(state.range(0));
   const auto subnets = network.interface_subnets();
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::extract_address_structure(subnets));
   }
+  state.counters["routers"] = static_cast<double>(network.router_count());
   state.counters["subnets"] = static_cast<double>(subnets.size());
   state.counters["roots"] = static_cast<double>(
       graph::extract_address_structure(subnets).roots.size());
 }
-BENCHMARK(BM_AddressStructure_HalfUsedJoin);
+BENCHMARK(BM_AddressStructure_HalfUsedJoin)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_AddressStructure_ExactAggregate(benchmark::State& state) {
   const auto net = managed_of_size(40);
@@ -413,6 +429,29 @@ void BM_AddressStructure_ExactAggregate(benchmark::State& state) {
       ip::aggregate_exact(subnets).size());
 }
 BENCHMARK(BM_AddressStructure_ExactAggregate);
+
+// --- router RIB (paper §2.3 route selection) --------------------------------------
+
+// Every router's RIB of the seed-1 managed enterprise from its baseline
+// fixpoint, on a pool of Arg threads (1 runs serially on the caller).
+void BM_RouterRib(benchmark::State& state) {
+  const auto network = phase_input(1);
+  const auto instances = graph::compute_instances(network);
+  const auto reach = analysis::ReachabilityAnalysis::run(network, instances);
+  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  std::size_t routes = 0;
+  for (auto _ : state) {
+    const auto ribs =
+        analysis::RouterRibAnalysis::run(network, instances, reach, &pool);
+    routes = 0;
+    for (const auto size : ribs.rib_sizes()) routes += size;
+    benchmark::DoNotOptimize(routes);
+  }
+  state.counters["routers"] = static_cast<double>(network.router_count());
+  state.counters["selected_routes"] = static_cast<double>(routes);
+}
+BENCHMARK(BM_RouterRib)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // --- reachability and pathway ------------------------------------------------------
 

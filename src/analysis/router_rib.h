@@ -1,12 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "analysis/reachability.h"
 #include "graph/instances.h"
 #include "model/network.h"
+
+namespace rd::util {
+class ThreadPool;
+}  // namespace rd::util
 
 namespace rd::analysis {
 
@@ -42,10 +45,13 @@ struct SelectedRoute {
 
 class RouterRibAnalysis {
  public:
-  /// Compute every router's RIB from the instance-level fixpoint.
+  /// Compute every router's RIB from the instance-level fixpoint. With a
+  /// pool, routers are selected in parallel; the result is the same at
+  /// every pool size.
   static RouterRibAnalysis run(const model::Network& network,
                                const graph::InstanceSet& instances,
-                               const ReachabilityAnalysis& reachability);
+                               const ReachabilityAnalysis& reachability,
+                               util::ThreadPool* pool = nullptr);
 
   /// The selected routes of one router, ordered by prefix.
   const std::vector<SelectedRoute>& rib(model::RouterId router) const {
@@ -71,7 +77,7 @@ class RouterRibAnalysis {
  private:
   std::vector<std::vector<SelectedRoute>> ribs_;
   std::vector<std::size_t> process_load_;
-  std::vector<bool> has_external_;
+  std::vector<char> has_external_;  // char: routers are written in parallel
 };
 
 }  // namespace rd::analysis

@@ -74,59 +74,51 @@ AddressSpaceStructure extract_address_structure(std::vector<Prefix> subnets) {
     containers.push_back({subnet, id});
   }
 
-  // Greedy join loop — the paper's §3.4 rule. Active blocks are disjoint and
-  // sorted, so prefix sums give "addresses used inside a candidate block".
-  while (active.size() > 1) {
-    std::vector<std::uint64_t> cum(active.size() + 1, 0);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      cum[i + 1] = cum[i] + active[i].block.size();
-    }
-    auto used_inside = [&](const Prefix& block) {
-      const auto lo = std::lower_bound(
-          active.begin(), active.end(), block.network(),
-          [](const Active& a, Ipv4Address v) { return a.block.network() < v; });
-      auto hi = lo;
-      while (hi != active.end() && block.contains(hi->block)) ++hi;
-      const auto lo_i = static_cast<std::size_t>(lo - active.begin());
-      const auto hi_i = static_cast<std::size_t>(hi - active.begin());
-      return cum[hi_i] - cum[lo_i];
-    };
-
-    int best_length = -1;
-    Prefix best_block;
+  // The paper's §3.4 rule: join two adjacent active blocks whose common
+  // block is at most two bits shorter than the shorter of them and at least
+  // half used, longest common block first, address order on a tie. A join
+  // only ever creates or changes candidates shorter than itself, and joins
+  // of one length are independent, so one address-ordered pass per length
+  // builds the same tree as repeatedly taking the best pair (DESIGN.md §5).
+  // Active blocks stay disjoint and sorted throughout.
+  std::vector<Active> next;
+  next.reserve(active.size());
+  for (int length = 31; length >= 1 && active.size() > 1; --length) {
+    next.clear();
+    std::size_t done = 0;  // active[0, done) already moved to `next`
     for (std::size_t i = 0; i + 1 < active.size(); ++i) {
-      const Prefix lca =
-          lowest_common_ancestor(active[i].block, active[i + 1].block);
-      const int shorter =
-          std::min(active[i].block.length(), active[i + 1].block.length());
-      if (shorter - lca.length() > 2) continue;  // > two low-order bits apart
-      if (lca.length() == 0) continue;
-      if (used_inside(lca) * 2 < lca.size()) continue;  // < half used
-      if (lca.length() > best_length) {
-        best_length = lca.length();
-        best_block = lca;
-      }
-    }
-    if (best_length < 0) break;
+      const Prefix& a = active[i].block;
+      const Prefix& b = active[i + 1].block;
+      const int shorter = std::min(a.length(), b.length());
+      if (lowest_common_ancestor(a, b).length() != length) continue;
+      if (shorter - length > 2) continue;  // > two low-order bits apart
+      // The blocks inside the candidate form one run around the pair.
+      const Prefix block(a.network(), length);
+      std::size_t lo = i;
+      while (lo > done && block.contains(active[lo - 1].block)) --lo;
+      std::size_t hi = i + 2;
+      while (hi < active.size() && block.contains(active[hi].block)) ++hi;
+      std::uint64_t used = 0;
+      for (std::size_t k = lo; k < hi; ++k) used += active[k].block.size();
+      if (used * 2 < block.size()) continue;  // < half used
 
-    const auto parent_id = static_cast<std::uint32_t>(out.nodes.size());
-    out.nodes.push_back({best_block, -1, {}, false});
-    std::vector<Active> next;
-    next.reserve(active.size());
-    bool inserted = false;
-    for (const Active& a : active) {
-      if (best_block.contains(a.block)) {
-        out.nodes[a.node].parent = static_cast<std::int32_t>(parent_id);
-        out.nodes[parent_id].children.push_back(a.node);
-        if (!inserted) {
-          next.push_back({best_block, parent_id});
-          inserted = true;
-        }
-      } else {
-        next.push_back(a);
+      next.insert(next.end(),
+                  active.begin() + static_cast<std::ptrdiff_t>(done),
+                  active.begin() + static_cast<std::ptrdiff_t>(lo));
+      const auto parent_id = static_cast<std::uint32_t>(out.nodes.size());
+      out.nodes.push_back({block, -1, {}, false});
+      for (std::size_t k = lo; k < hi; ++k) {
+        out.nodes[active[k].node].parent = static_cast<std::int32_t>(parent_id);
+        out.nodes[parent_id].children.push_back(active[k].node);
       }
+      next.push_back({block, parent_id});
+      done = hi;
+      i = hi - 1;  // the pairs straddling `block` are all shorter than it
     }
-    active = std::move(next);
+    if (done == 0) continue;  // no join at this length
+    next.insert(next.end(), active.begin() + static_cast<std::ptrdiff_t>(done),
+                active.end());
+    active.swap(next);
   }
 
   out.roots.reserve(active.size());

@@ -16,6 +16,7 @@
 #include "config/ast.h"
 #include "graph/address_space.h"
 #include "ip/ipv4.h"
+#include "obs/obs.h"
 #include "sim/sweep.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -130,7 +131,10 @@ QueryResult audit_report(const model::Network& network,
           ig.set.instances.size(), cls.features.bgp_instance_count,
           cls.features.staging_igp_instances, cls.features.internal_as_count);
 
-  const auto structure = graph::extract_address_structure(network);
+  const auto structure = [&] {
+    obs::Span span("audit.address_structure", "serve");
+    return graph::extract_address_structure(network);
+  }();
   appendf(out, "address-block plan (%zu root blocks):\n",
           structure.roots.size());
   for (const auto& block : structure.root_blocks()) {
@@ -248,7 +252,10 @@ QueryResult audit_report(const model::Network& network,
   if (const auto warning = reach.convergence_warning(); !warning.empty()) {
     appendf(out, "%s\n", warning.c_str());
   }
-  const auto ribs = analysis::RouterRibAnalysis::run(network, ig.set, reach);
+  const auto ribs = [&] {
+    obs::Span span("audit.router_rib", "serve");
+    return analysis::RouterRibAnalysis::run(network, ig.set, reach, &pool);
+  }();
   const auto sizes = ribs.rib_sizes();
   std::size_t max_rib = 0;
   std::size_t total = 0;

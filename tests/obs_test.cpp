@@ -257,6 +257,32 @@ TEST_F(ObsTest, AuditBuildsOneDataflowAndOneBaselineFixpoint) {
   EXPECT_EQ(counter_value("reachability.runs"), 1u + scenarios.size());
 }
 
+// The address-block join and the router-RIB pass each show in a traced
+// audit under their own span, so the trace accounts for their time.
+TEST_F(ObsTest, TracedAuditRecordsAddressStructureAndRouterRibSpans) {
+  const auto network = pipeline::build_network_serial(small_network_texts());
+  const auto ig = graph::InstanceGraph::build(network);
+  util::ThreadPool pool(2);
+  obs::Registry::instance().set_tracing(true);
+  serve::audit_report(network, ig, pool);
+  obs::Registry::instance().set_tracing(false);
+
+  const auto doc = util::Json::parse(obs::Registry::instance().trace_json());
+  ASSERT_TRUE(doc.has_value());
+  const auto* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t address_structure = 0;
+  std::size_t router_rib = 0;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const auto* name = events->at(i)->get("name");
+    if (name == nullptr || name->if_string() == nullptr) continue;
+    if (*name->if_string() == "audit.address_structure") ++address_structure;
+    if (*name->if_string() == "audit.router_rib") ++router_rib;
+  }
+  EXPECT_EQ(address_structure, 1u);
+  EXPECT_EQ(router_rib, 1u);
+}
+
 TEST_F(ObsTest, FleetPassBuildsOneDataflowAndOneFixpointPerNetwork) {
   const auto texts = small_network_texts();
   const std::vector<pipeline::FleetInput> inputs = {

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "analysis/reachability.h"
 #include "analysis/router_rib.h"
 #include "graph/instances.h"
+#include "synth/archetypes.h"
+#include "synth/emit.h"
+#include "synth/fleet.h"
 #include "testutil.h"
+#include "util/thread_pool.h"
 
 namespace rd::analysis {
 namespace {
@@ -156,6 +163,224 @@ TEST(RouterRib, EbgpProcessClassifiedEbgp) {
     if (route.source == RouteSource::kEbgp) saw_ebgp = true;
   }
   EXPECT_TRUE(saw_ebgp);
+}
+
+// --- differential: merge-based selection vs a per-prefix map ---------------------
+//
+// `RouterRibAnalysis::run` merges each router's sorted candidate runs. The
+// reference below is the selection it replaced: every candidate offered
+// into a std::map keyed by prefix, a strictly lower administrative
+// distance replacing the held route, so the first route offered wins a
+// tie. Offer order is interfaces, static routes, then the router's
+// processes in `router_processes` order.
+
+RouteSource reference_source(const model::Network& network,
+                             model::ProcessId p) {
+  const auto& process = network.processes()[p];
+  switch (process.protocol) {
+    case config::RoutingProtocol::kOspf:
+      return RouteSource::kOspf;
+    case config::RoutingProtocol::kEigrp:
+    case config::RoutingProtocol::kIgrp:
+      return RouteSource::kEigrp;
+    case config::RoutingProtocol::kRip:
+    case config::RoutingProtocol::kIsis:
+      return RouteSource::kRip;
+    case config::RoutingProtocol::kBgp:
+      break;
+  }
+  for (const auto& session : network.bgp_sessions()) {
+    if (session.local_process == p &&
+        (session.external() || session.ebgp())) {
+      return RouteSource::kEbgp;
+    }
+  }
+  return RouteSource::kIbgp;
+}
+
+std::vector<SelectedRoute> reference_rib(
+    const model::Network& network, const graph::InstanceSet& instances,
+    const ReachabilityAnalysis& reachability, model::RouterId r) {
+  std::map<ip::Prefix, SelectedRoute> best;
+  auto offer = [&](const ip::Prefix& prefix, RouteSource source,
+                   model::ProcessId p) {
+    const auto it = best.find(prefix);
+    if (it == best.end() || administrative_distance(source) <
+                                administrative_distance(it->second.source)) {
+      best[prefix] = {prefix, source, p};
+    }
+  };
+  for (const model::InterfaceId i : network.router_interfaces(r)) {
+    const auto& itf = network.interfaces()[i];
+    if (itf.subnet && !itf.shutdown) {
+      offer(*itf.subnet, RouteSource::kConnected, model::kInvalidId);
+    }
+  }
+  for (const auto& route : network.routers()[r].static_routes) {
+    offer(route.prefix(), RouteSource::kStatic, model::kInvalidId);
+  }
+  for (const model::ProcessId p : network.router_processes(r)) {
+    const RouteSource source = reference_source(network, p);
+    for (const auto& route :
+         reachability.instance_routes(instances.instance_of[p])) {
+      offer(route.prefix, source, p);
+    }
+  }
+  std::vector<SelectedRoute> out;
+  for (const auto& [prefix, route] : best) out.push_back(route);
+  return out;
+}
+
+/// Every router's RIB, the RIB sizes and the external-route routers, serial
+/// and on a 4-thread pool, against the map reference. Returns the number of
+/// selected routes compared.
+std::size_t expect_matches_reference(const model::Network& network,
+                                     const std::string& label) {
+  const auto instances = graph::compute_instances(network);
+  const auto reach = ReachabilityAnalysis::run(network, instances);
+  util::ThreadPool pool(4);
+  const auto serial = RouterRibAnalysis::run(network, instances, reach);
+  const auto parallel =
+      RouterRibAnalysis::run(network, instances, reach, &pool);
+  std::vector<std::size_t> sizes;
+  std::vector<model::RouterId> externals;
+  std::size_t compared = 0;
+  for (model::RouterId r = 0; r < network.router_count(); ++r) {
+    const auto ref = reference_rib(network, instances, reach, r);
+    sizes.push_back(ref.size());
+    if (!ref.empty() && ref.front().prefix.length() == 0) {
+      externals.push_back(r);
+    }
+    for (const auto* analysis : {&serial, &parallel}) {
+      const auto& rib = analysis->rib(r);
+      EXPECT_EQ(rib.size(), ref.size()) << label << " router " << r;
+      for (std::size_t k = 0; k < std::min(rib.size(), ref.size()); ++k) {
+        EXPECT_EQ(rib[k].prefix, ref[k].prefix) << label << " router " << r;
+        EXPECT_EQ(rib[k].source, ref[k].source)
+            << label << " router " << r << " " << ref[k].prefix.to_string();
+        EXPECT_EQ(rib[k].process, ref[k].process)
+            << label << " router " << r << " " << ref[k].prefix.to_string();
+      }
+    }
+    compared += ref.size();
+  }
+  for (const auto* analysis : {&serial, &parallel}) {
+    EXPECT_EQ(analysis->rib_sizes(), sizes) << label;
+    EXPECT_EQ(analysis->routers_with_external_routes(), externals) << label;
+  }
+  return compared;
+}
+
+TEST(RouterRibDifferential, EveryFleetNetwork) {
+  for (const auto& net : synth::generate_fleet(1).networks) {
+    const auto network = model::Network::build(synth::reparse(net.configs));
+    expect_matches_reference(network, net.name);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(RouterRibDifferential, ManagedSeedOne) {
+  synth::ManagedEnterpriseParams params;
+  params.seed = 1;
+  const auto network = model::Network::build(
+      synth::reparse(synth::make_managed_enterprise(params).configs));
+  EXPECT_GT(expect_matches_reference(network, "managed seed 1"), 0u);
+}
+
+const SelectedRoute* find_route(const RouterRibAnalysis& analysis,
+                                model::RouterId r, const ip::Prefix& prefix) {
+  for (const auto& route : analysis.rib(r)) {
+    if (route.prefix == prefix) return &route;
+  }
+  return nullptr;
+}
+
+TEST(RouterRibTies, ConnectedBeatsStaticOnTheSamePrefix) {
+  // The static route is listed first in the file, but interfaces are
+  // offered first and connected (0) beats static (1) anyway.
+  const auto net = network_of(
+      {"hostname a\n"
+       "ip route 10.1.0.0 255.255.255.0 Null0\n"
+       "interface FastEthernet0/0\n ip address 10.1.0.1 255.255.255.0\n"
+       "ip route 10.1.0.0 255.255.255.0 10.1.0.9\n"});
+  const auto analysis = analyze(net);
+  ASSERT_EQ(analysis.rib(0).size(), 1u);
+  EXPECT_EQ(analysis.rib(0)[0].source, RouteSource::kConnected);
+  EXPECT_EQ(analysis.rib(0)[0].process, model::kInvalidId);
+  expect_matches_reference(net, "connected vs static");
+}
+
+TEST(RouterRibTies, FirstOfTwoEqualDistanceProcessesWins) {
+  // Router a runs two OSPF processes that redistribute into each other, so
+  // both offer b's LAN at distance 110: the first in router_processes
+  // order is selected.
+  const auto net = network_of(
+      {"hostname a\n"
+       "interface Serial0/0 point-to-point\n"
+       " ip address 10.0.0.1 255.255.255.252\n"
+       "interface Serial0/1 point-to-point\n"
+       " ip address 10.0.0.5 255.255.255.252\n"
+       "router ospf 2\n network 10.0.0.4 0.0.0.3 area 0\n"
+       " redistribute ospf 1 subnets\n"
+       "router ospf 1\n network 10.0.0.0 0.0.0.3 area 0\n"
+       " redistribute ospf 2 subnets\n",
+       "hostname b\n"
+       "interface Serial0/0 point-to-point\n"
+       " ip address 10.0.0.2 255.255.255.252\n"
+       "interface FastEthernet0/0\n ip address 10.5.0.1 255.255.255.0\n"
+       "router ospf 1\n network 10.0.0.0 0.255.255.255 area 0\n"});
+  const auto instances = graph::compute_instances(net);
+  const auto reach = ReachabilityAnalysis::run(net, instances);
+  const auto& processes = net.router_processes(0);
+  ASSERT_EQ(processes.size(), 2u);
+  for (const model::ProcessId p : processes) {
+    ASSERT_TRUE(reach.instance_has_route_to(instances.instance_of[p],
+                                            addr("10.5.0.9")))
+        << "both processes must offer b's LAN";
+  }
+  const auto analysis = RouterRibAnalysis::run(net, instances, reach);
+  const auto* route = find_route(analysis, 0, pfx("10.5.0.0/24"));
+  ASSERT_NE(route, nullptr);
+  EXPECT_EQ(route->source, RouteSource::kOspf);
+  EXPECT_EQ(route->process, processes[0]);
+  expect_matches_reference(net, "equal-distance processes");
+}
+
+TEST(RouterRibTies, BgpSourceFollowsTheProcessSessions) {
+  // a peers with an outside AS (EBGP); b only has its IBGP session to a.
+  // Both processes share one instance and so offer the same routes.
+  const auto net = network_of(
+      {"hostname a\n"
+       "interface Serial0/0 point-to-point\n"
+       " ip address 10.9.0.1 255.255.255.252\n"
+       "interface FastEthernet0/0\n ip address 10.1.0.1 255.255.255.0\n"
+       "router bgp 65000\n"
+       " neighbor 10.9.0.2 remote-as 701\n"
+       " neighbor 10.1.0.2 remote-as 65000\n",
+       "hostname b\n"
+       "interface FastEthernet0/0\n ip address 10.1.0.2 255.255.255.0\n"
+       "router bgp 65000\n"
+       " neighbor 10.1.0.1 remote-as 65000\n"});
+  const auto analysis = analyze(net);
+  const auto* at_a = find_route(analysis, 0, pfx("0.0.0.0/0"));
+  const auto* at_b = find_route(analysis, 1, pfx("0.0.0.0/0"));
+  ASSERT_NE(at_a, nullptr);
+  ASSERT_NE(at_b, nullptr);
+  EXPECT_EQ(at_a->source, RouteSource::kEbgp);
+  EXPECT_EQ(at_b->source, RouteSource::kIbgp);
+  expect_matches_reference(net, "ebgp vs ibgp");
+}
+
+TEST(RouterRibTies, ShutdownInterfaceOffersNoConnectedRoute) {
+  const auto net = network_of(
+      {"hostname a\n"
+       "interface FastEthernet0/0\n ip address 10.1.0.1 255.255.255.0\n"
+       " shutdown\n"
+       "interface FastEthernet0/1\n ip address 10.2.0.1 255.255.255.0\n"});
+  const auto analysis = analyze(net);
+  EXPECT_EQ(find_route(analysis, 0, pfx("10.1.0.0/24")), nullptr);
+  ASSERT_NE(find_route(analysis, 0, pfx("10.2.0.0/24")), nullptr);
+  expect_matches_reference(net, "shutdown interface");
 }
 
 }  // namespace
